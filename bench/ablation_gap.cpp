@@ -4,7 +4,7 @@
 // cannot reach — so this sweep measures the approximation ratios of the
 // distributed schemes (ID/ND/EL1/EL2), the centralized heuristics and the
 // (2,2)-connected backbone at realistic sizes. `pacds gap --metrics`
-// produces the same measurement as a schema-v1 JSONL stream for
+// produces the same measurement as a metrics-schema JSONL stream for
 // bench_report --gap-report.
 
 #include <cstdint>

@@ -33,15 +33,8 @@ int main() {
   using namespace pacds;
   const std::size_t trials = env_size_t("PACDS_TRIALS", 40);
 
-  struct Column {
-    const char* label;
-    RuleSet scheme;
-  };
-  constexpr Column kColumns[] = {
-      {"ID", RuleSet::kID},   {"ND", RuleSet::kND},
-      {"EL1", RuleSet::kEL1}, {"EL2", RuleSet::kEL2},
-      {"SEL", RuleSet::kSEL},
-  };
+  constexpr RuleSet kSchemes[] = {RuleSet::kID, RuleSet::kND, RuleSet::kEL1,
+                                   RuleSet::kEL2, RuleSet::kSEL};
 
   const auto configure = [](int n, RuleSet scheme) {
     SimConfig config;
@@ -66,11 +59,11 @@ int main() {
   TextTable churn_table({"n", "scheme", "lifetime", "avg |G'|", "churn"});
   churn_table.set_align(1, Align::kLeft);
   for (const int n : {30, 50, 80}) {
-    for (const Column& column : kColumns) {
-      const SimConfig config = configure(n, column.scheme);
+    for (const RuleSet scheme : kSchemes) {
+      const SimConfig config = configure(n, scheme);
       const LifetimeSummary s = run_lifetime_trials(
           config, trials, 0x5e1u ^ static_cast<std::uint64_t>(n), &pool);
-      churn_table.add_row({TextTable::fmt(n), column.label,
+      churn_table.add_row({TextTable::fmt(n), to_string(scheme),
                            TextTable::fmt(s.intervals.mean),
                            TextTable::fmt(s.avg_gateways.mean, 1),
                            TextTable::fmt(s.avg_churn.mean, 2)});
@@ -95,8 +88,8 @@ int main() {
       crash.recover_at = crash.at + 5;
       plan.crashes.push_back(crash);
     }
-    for (const Column& column : kColumns) {
-      const SimConfig config = configure(n, column.scheme);
+    for (const RuleSet scheme : kSchemes) {
+      const SimConfig config = configure(n, scheme);
       const LifetimeSummary s = run_lifetime_trials(
           config, trials, 0xfa17u ^ static_cast<std::uint64_t>(n), &pool,
           nullptr, &plan);
@@ -105,7 +98,7 @@ int main() {
               ? static_cast<double>(s.faults.repair_ns_total) / 1000.0 /
                     static_cast<double>(s.faults.repairs)
               : 0.0;
-      fault_table.add_row({TextTable::fmt(n), column.label,
+      fault_table.add_row({TextTable::fmt(n), to_string(scheme),
                            TextTable::fmt(s.intervals.mean),
                            std::to_string(s.faults.repairs),
                            TextTable::fmt(repair_us, 1),

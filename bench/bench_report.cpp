@@ -21,12 +21,12 @@
 // is preserved verbatim so before/after comparisons survive regeneration.
 //
 // --validate-jsonl checks a metrics stream (pacds sim/sweep --metrics) line
-// by line against the schema v1 envelope: every line parses as a JSON
-// object carrying a "type" string and numeric "schema", no number anywhere
-// in a record is non-finite, and the stream holds at least one run_manifest
-// and one interval record. Prints per-type record counts; exits 1 on any
-// violation. CI's faults smoke job runs it over
-// `pacds sim --faults ... --metrics -`.
+// by line against the schema envelope, which schema v1 and v2 share: every
+// line parses as a JSON object carrying a "type" string and numeric
+// "schema", no number anywhere in a record is non-finite, and the stream
+// holds at least one run_manifest and one interval record. Prints per-type
+// record counts; exits 1 on any violation. CI's faults smoke job runs it
+// over `pacds sim --faults ... --metrics -`.
 //
 // --gap-report renders the approximation-ratio table from a `pacds gap`
 // JSONL stream (gap_manifest + gap_point records): per (n, radius) point it

@@ -19,12 +19,12 @@ int run_figure(const FigureSpec& spec) {
                          std::string(quick) != "0";
   const char* strategy_env = std::getenv("PACDS_STRATEGY");
   Strategy strategy = Strategy::kSequential;
-  if (strategy_env != nullptr) {
-    const std::string s(strategy_env);
-    if (s == "simultaneous") strategy = Strategy::kSimultaneous;
-    else if (s == "verified") strategy = Strategy::kVerified;
-    else if (!s.empty() && s != "sequential") {
-      std::cerr << "unknown PACDS_STRATEGY '" << s << "', using sequential\n";
+  if (strategy_env != nullptr && *strategy_env != '\0') {
+    if (const auto parsed = parse_wire_name(kStrategyNames, strategy_env)) {
+      strategy = *parsed;
+    } else {
+      std::cerr << "unknown PACDS_STRATEGY '" << strategy_env
+                << "', using sequential\n";
     }
   }
 

@@ -13,6 +13,7 @@
 #include "core/articulation.hpp"
 #include "core/cds.hpp"
 #include "core/metrics.hpp"
+#include "core/names.hpp"
 #include "core/rule_k.hpp"
 #include "core/verify.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -119,64 +120,83 @@ std::vector<double> energies_for(const LoadedGraph& loaded,
   return energy;
 }
 
-std::optional<RuleSet> parse_scheme(const std::string& name) {
-  if (name == "NR") return RuleSet::kNR;
-  if (name == "ID") return RuleSet::kID;
-  if (name == "ND") return RuleSet::kND;
-  if (name == "EL1") return RuleSet::kEL1;
-  if (name == "EL2") return RuleSet::kEL2;
-  if (name == "SEL") return RuleSet::kSEL;
-  return std::nullopt;
+/// The enumerator option `name` spells in its wire-name table; prints
+/// "error: unknown <name> '<value>'" and returns nullopt for any other value.
+template <typename Enum, std::size_t N>
+std::optional<Enum> option_enum(const ArgParser& parser,
+                                const std::string& name,
+                                const WireName<Enum> (&table)[N],
+                                std::ostream& err) {
+  const std::string value = parser.option(name);
+  const auto parsed = parse_wire_name(table, value);
+  if (!parsed) err << "error: unknown " << name << " '" << value << "'\n";
+  return parsed;
 }
 
-std::optional<Strategy> parse_strategy(const std::string& name) {
-  if (name == "simultaneous") return Strategy::kSimultaneous;
-  if (name == "sequential") return Strategy::kSequential;
-  if (name == "verified") return Strategy::kVerified;
-  return std::nullopt;
+struct OptionSpec {
+  const char* name;
+  const char* help;
+  const char* default_value;
+};
+
+// The run options sim and sweep share: one help text and default each,
+// registered by each command in its own usage order, read by
+// read_run_options. (cds registers the same --strategy.)
+constexpr OptionSpec kSchemeOption{
+    "scheme",
+    "NR | ID | ND | EL1 | EL2 | SEL | all ('all' = the paper's five; SEL is "
+    "opt-in)",
+    "all"};
+constexpr OptionSpec kModelOption{
+    "model",
+    "gateway drain model: 1 (d=2/|G'|), 2 (d=N/|G'|), 3 (d=N(N-1)/2/(10|G'|))",
+    "2"};
+constexpr OptionSpec kSeedOption{"seed", "base RNG seed", "2001"};
+constexpr OptionSpec kStrategyOption{
+    "strategy", "sequential | simultaneous | verified",
+    wire_name(kStrategyNames, Strategy::kSequential)};
+
+void add_run_option(ArgParser& parser, const OptionSpec& spec) {
+  parser.add_option(spec.name, spec.help, spec.default_value);
 }
 
-std::optional<KeyKind> parse_key(const std::string& name) {
-  if (name == "ID") return KeyKind::kId;
-  if (name == "ND") return KeyKind::kDegreeId;
-  if (name == "EL1") return KeyKind::kEnergyId;
-  if (name == "EL2") return KeyKind::kEnergyDegreeId;
-  if (name == "SEL") return KeyKind::kStabilityEnergyId;
-  return std::nullopt;
-}
+struct RunOptions {
+  std::vector<RuleSet> schemes;
+  DrainModel drain_model = DrainModel::kLinearTotal;
+  std::uint64_t seed = 0;
+  Strategy strategy = Strategy::kSequential;
+};
 
-std::optional<MobilityKind> parse_mobility_kind(const std::string& name) {
-  if (name == "paper-jump") return MobilityKind::kPaperJump;
-  if (name == "random-walk") return MobilityKind::kRandomWalk;
-  if (name == "random-waypoint") return MobilityKind::kRandomWaypoint;
-  if (name == "gauss-markov") return MobilityKind::kGaussMarkov;
-  if (name == "static") return MobilityKind::kStatic;
-  return std::nullopt;
-}
-
-std::optional<RadioKind> parse_radio_kind(const std::string& name) {
-  if (name == "unit-disk") return RadioKind::kUnitDisk;
-  if (name == "shadowing") return RadioKind::kShadowing;
-  if (name == "probabilistic") return RadioKind::kProbabilistic;
-  return std::nullopt;
-}
-
-/// Parses --scheme for the simulation commands: "all" or one scheme name.
+/// Reads --scheme / --model / --seed / --strategy. On a bad value prints the
+/// error (plus the usage for a bad number) and returns nullopt. --scheme
 /// "all" stays the paper's five schemes; SEL is opt-in by name so the
 /// default sweeps keep reproducing the paper's tables unchanged.
-std::optional<std::vector<RuleSet>> parse_scheme_list(const std::string& name,
-                                                      std::ostream& err) {
-  std::vector<RuleSet> schemes;
-  if (name == "all") {
-    schemes.assign(std::begin(kAllRuleSets), std::end(kAllRuleSets));
-    return schemes;
+std::optional<RunOptions> read_run_options(const ArgParser& parser,
+                                           std::ostream& err) {
+  const auto model = parser.option_int("model");
+  const auto seed = parser.option_int("seed");
+  if (!model || *model < 1 || *model > 3 || !seed) {
+    err << "error: bad numeric option\n" << parser.usage();
+    return std::nullopt;
   }
-  if (const auto rs = parse_scheme(name)) {
-    schemes.push_back(*rs);
-    return schemes;
+  const auto strategy = option_enum(parser, "strategy", kStrategyNames, err);
+  if (!strategy) return std::nullopt;
+  RunOptions run;
+  if (parser.option("scheme") == "all") {
+    run.schemes.assign(std::begin(kAllRuleSets), std::end(kAllRuleSets));
+  } else if (const auto rs =
+                 option_enum(parser, "scheme", kRuleSetNames, err)) {
+    run.schemes.push_back(*rs);
+  } else {
+    return std::nullopt;
   }
-  err << "error: unknown scheme '" << name << "'\n";
-  return std::nullopt;
+  constexpr DrainModel kModels[] = {DrainModel::kConstantTotal,
+                                    DrainModel::kLinearTotal,
+                                    DrainModel::kQuadraticTotal};
+  run.drain_model = kModels[*model - 1];
+  run.seed = static_cast<std::uint64_t>(*seed);
+  run.strategy = *strategy;
+  return run;
 }
 
 /// Opens --metrics when given; a default-constructed sink stays detached.
@@ -199,11 +219,12 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
             std::ostream& err) {
   ArgParser parser("pacds cds", "compute a connected dominating set");
   add_graph_options(parser);
-  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL | RULEK", "ID");
+  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL | RULEK",
+                    to_string(RuleSet::kID));
   parser.add_option("key", "priority key for --scheme RULEK "
-                           "(ID | ND | EL1 | EL2 | SEL)", "ND");
-  parser.add_option("strategy", "sequential | simultaneous | verified",
-                    "sequential");
+                           "(ID | ND | EL1 | EL2 | SEL)",
+                    to_string(KeyKind::kDegreeId));
+  add_run_option(parser, kStrategyOption);
   parser.add_flag("dot", "emit Graphviz instead of a summary");
   parser.add_flag("json", "emit a JSON summary instead of text");
   parser.add_option("save-scenario",
@@ -223,11 +244,8 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   const Graph& g = loaded->graph;
   const auto seed =
       static_cast<std::uint64_t>(parser.option_int("seed").value_or(2001));
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
+  const auto strategy = option_enum(parser, "strategy", kStrategyNames, err);
+  if (!strategy) return 2;
   const std::vector<double> energy = energies_for(*loaded, seed);
 
   const std::string save_path = parser.option("save-scenario");
@@ -251,18 +269,12 @@ int cmd_cds(const std::vector<std::string>& tokens, std::ostream& out,
   CdsResult result;
   const std::string scheme = parser.option("scheme");
   if (scheme == "RULEK") {
-    const auto key = parse_key(parser.option("key"));
-    if (!key) {
-      err << "error: unknown key '" << parser.option("key") << "'\n";
-      return 2;
-    }
+    const auto key = option_enum(parser, "key", kKeyKindNames, err);
+    if (!key) return 2;
     result = compute_cds_rule_k(g, *key, energy, *strategy);
   } else {
-    const auto rs = parse_scheme(scheme);
-    if (!rs) {
-      err << "error: unknown scheme '" << scheme << "'\n";
-      return 2;
-    }
+    const auto rs = option_enum(parser, "scheme", kRuleSetNames, err);
+    if (!rs) return 2;
     CdsOptions options;
     options.strategy = *strategy;
     result = compute_cds(g, *rs, energy, options);
@@ -346,7 +358,8 @@ int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
   ArgParser parser("pacds route",
                    "route a packet through the gateway backbone");
   add_graph_options(parser);
-  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL", "ID");
+  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL",
+                    to_string(RuleSet::kID));
   parser.add_option("src", "source host id", "0");
   parser.add_option("dst", "destination host id", "1");
   parser.add_flag("help", "show usage");
@@ -361,11 +374,8 @@ int cmd_route(const std::vector<std::string>& tokens, std::ostream& out,
   const auto loaded = load_graph(parser, err);
   if (!loaded) return 1;
   const Graph& g = loaded->graph;
-  const auto rs = parse_scheme(parser.option("scheme"));
-  if (!rs) {
-    err << "error: unknown scheme '" << parser.option("scheme") << "'\n";
-    return 2;
-  }
+  const auto rs = option_enum(parser, "scheme", kRuleSetNames, err);
+  if (!rs) return 2;
   const auto src = parser.option_int("src");
   const auto dst = parser.option_int("dst");
   if (!src || !dst || *src < 0 || *dst < 0 || *src >= g.num_nodes() ||
@@ -398,19 +408,16 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   ArgParser parser("pacds sim", "run the paper's lifetime simulation");
   parser.add_option("n", "number of hosts", "50");
   parser.add_option("trials", "Monte-Carlo trials", "30");
-  parser.add_option("model", "gateway drain model: 1 (d=2/|G'|), "
-                             "2 (d=N/|G'|), 3 (d=N(N-1)/2/(10|G'|))", "2");
-  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL | all "
-                              "('all' = the paper's five; SEL is opt-in)",
-                    "all");
-  parser.add_option("seed", "base RNG seed", "2001");
+  add_run_option(parser, kModelOption);
+  add_run_option(parser, kSchemeOption);
+  add_run_option(parser, kSeedOption);
   parser.add_option("quantum", "energy-key quantization (0 = off)", "1");
   parser.add_option("mobility",
                     "mobility model: paper-jump | random-walk | "
                     "random-waypoint | gauss-markov | static (non-paper-jump "
-                    "kinds use MobilityParams defaults; use a config JSON for "
-                    "full control)",
-                    "paper-jump");
+                    "kinds use the MobilityParams defaults, which a pacds "
+                    "serve create config can set)",
+                    to_string(MobilityKind::kPaperJump));
   parser.add_option("depth",
                     "field z extent (0 = the paper's planar world; > 0 lifts "
                     "placement, mobility and link distances into 3-D)",
@@ -419,7 +426,7 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                     "propagation model gating unit-disk links: unit-disk | "
                     "shadowing | probabilistic (deterministic per-pair "
                     "fading; params from RadioParams defaults)",
-                    "unit-disk");
+                    to_string(RadioKind::kUnitDisk));
   parser.add_option("fading-seed",
                     "per-pair fading seed for --radio shadowing | "
                     "probabilistic",
@@ -430,17 +437,16 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                     "0.5");
   parser.add_option("stability-quantum",
                     "SEL churn bucket width (0 = raw EWMA values)", "1");
-  parser.add_option("strategy", "sequential | simultaneous | verified",
-                    "sequential");
+  add_run_option(parser, kStrategyOption);
   parser.add_option("engine",
                     "per-interval engine: auto | full | incremental | tiled",
-                    "auto");
+                    to_string(SimEngine::kAuto));
   parser.add_option("backbone",
                     "backbone family: scheme (the paper's rules, "
                     "recomputed each interval) | cds22 (greedy "
                     "(2,2)-connected set, kept while it still verifies; "
                     "survives single gateway crashes without repair)",
-                    "scheme");
+                    to_string(BackboneMode::kScheme));
   parser.add_option("tiles",
                     "tile count for --engine tiled (0 = auto: finest grid "
                     "with tile side >= 2*radius); gateways are identical for "
@@ -471,8 +477,6 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   }
   const auto n = parser.option_int("n");
   const auto trials = parser.option_int("trials");
-  const auto model = parser.option_int("model");
-  const auto seed = parser.option_int("seed");
   const auto quantum = parser.option_double("quantum");
   const auto threads = parser.option_int("threads");
   const auto tiles = parser.option_int("tiles");
@@ -480,66 +484,41 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
   const auto fading_seed = parser.option_int("fading-seed");
   const auto stability_beta = parser.option_double("stability-beta");
   const auto stability_quantum = parser.option_double("stability-quantum");
-  if (!n || *n < 1 || !trials || *trials < 1 || !model || *model < 1 ||
-      *model > 3 || !seed || !quantum || !threads || *threads < 0 || !tiles ||
-      *tiles < 0 || !depth || *depth < 0.0 || !fading_seed ||
-      *fading_seed < 0 || !stability_beta || *stability_beta < 0.0 ||
-      *stability_beta > 1.0 || !stability_quantum || *stability_quantum < 0.0) {
+  if (!n || *n < 1 || !trials || *trials < 1 || !quantum || !threads ||
+      *threads < 0 || !tiles || *tiles < 0 || !depth || *depth < 0.0 ||
+      !fading_seed || *fading_seed < 0 || !stability_beta ||
+      *stability_beta < 0.0 || *stability_beta > 1.0 || !stability_quantum ||
+      *stability_quantum < 0.0) {
     err << "error: bad numeric option\n" << parser.usage();
     return 2;
   }
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
+  const auto run = read_run_options(parser, err);
+  if (!run) return 2;
   SimConfig config;
   config.n_hosts = static_cast<int>(*n);
-  config.drain_model = *model == 1   ? DrainModel::kConstantTotal
-                       : *model == 2 ? DrainModel::kLinearTotal
-                                     : DrainModel::kQuadraticTotal;
+  config.drain_model = run->drain_model;
   config.energy_key_quantum = *quantum;
-  config.cds_options.strategy = *strategy;
+  config.cds_options.strategy = run->strategy;
   config.threads = static_cast<int>(*threads);
   config.field_depth = *depth;
   config.stability_beta = *stability_beta;
   config.stability_quantum = *stability_quantum;
-  const auto mobility = parse_mobility_kind(parser.option("mobility"));
-  if (!mobility) {
-    err << "error: unknown mobility '" << parser.option("mobility") << "'\n";
-    return 2;
-  }
+  const auto mobility =
+      option_enum(parser, "mobility", kMobilityKindNames, err);
+  if (!mobility) return 2;
   config.mobility_kind = *mobility;
-  const auto radio = parse_radio_kind(parser.option("radio"));
-  if (!radio) {
-    err << "error: unknown radio '" << parser.option("radio") << "'\n";
-    return 2;
-  }
+  const auto radio = option_enum(parser, "radio", kRadioKindNames, err);
+  if (!radio) return 2;
   config.radio = *radio;
   config.radio_params.fading_seed =
       static_cast<std::uint64_t>(*fading_seed);
-  const std::string engine = parser.option("engine");
-  if (engine == "auto") {
-    config.engine = SimEngine::kAuto;
-  } else if (engine == "full") {
-    config.engine = SimEngine::kFullRebuild;
-  } else if (engine == "incremental") {
-    config.engine = SimEngine::kIncremental;
-  } else if (engine == "tiled") {
-    config.engine = SimEngine::kTiled;
-  } else {
-    err << "error: unknown engine '" << engine << "'\n";
-    return 2;
-  }
-  const std::string backbone = parser.option("backbone");
-  if (backbone == "scheme") {
-    config.backbone = BackboneMode::kScheme;
-  } else if (backbone == "cds22") {
-    config.backbone = BackboneMode::kCds22;
-  } else {
-    err << "error: unknown backbone '" << backbone << "'\n";
-    return 2;
-  }
+  const auto engine = option_enum(parser, "engine", kSimEngineNames, err);
+  if (!engine) return 2;
+  config.engine = *engine;
+  const auto backbone =
+      option_enum(parser, "backbone", kBackboneModeNames, err);
+  if (!backbone) return 2;
+  config.backbone = *backbone;
   config.tiles = static_cast<int>(*tiles);
   if (config.backbone == BackboneMode::kCds22 &&
       (config.engine == SimEngine::kIncremental ||
@@ -556,9 +535,6 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
     err << "error: --engine tiled needs --strategy simultaneous\n";
     return 2;
   }
-
-  const auto schemes = parse_scheme_list(parser.option("scheme"), err);
-  if (!schemes) return 2;
 
   std::optional<FaultPlan> fault_plan;
   const std::string faults_path = parser.option("faults");
@@ -597,11 +573,10 @@ int cmd_sim(const std::vector<std::string>& tokens, std::ostream& out,
                       : std::vector<std::string>{"scheme", "lifetime", "±95%",
                                                  "avg |G'|"});
   table.set_align(0, Align::kLeft);
-  for (const RuleSet rs : *schemes) {
+  for (const RuleSet rs : run->schemes) {
     config.rule_set = rs;
     const LifetimeSummary s = run_lifetime_trials(
-        config, static_cast<std::size_t>(*trials),
-        static_cast<std::uint64_t>(*seed), nullptr,
+        config, static_cast<std::size_t>(*trials), run->seed, nullptr,
         metrics ? &*metrics : nullptr, fault_plan ? &*fault_plan : nullptr);
     if (fault_plan) {
       table.add_row({to_string(rs), TextTable::fmt(s.intervals.mean),
@@ -689,16 +664,12 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
                     "'quick' (10,30,50,80) / 'hansen' (1k..100k ladder "
                     "for --sets)",
                     "quick");
-  parser.add_option("scheme", "NR | ID | ND | EL1 | EL2 | SEL | all "
-                              "('all' = the paper's five; SEL is opt-in)",
-                    "all");
+  add_run_option(parser, kSchemeOption);
   parser.add_option("trials", "Monte-Carlo trials per (n, scheme) point",
                     "10");
-  parser.add_option("model", "gateway drain model: 1 (d=2/|G'|), "
-                             "2 (d=N/|G'|), 3 (d=N(N-1)/2/(10|G'|))", "2");
-  parser.add_option("seed", "base RNG seed", "2001");
-  parser.add_option("strategy", "sequential | simultaneous | verified",
-                    "sequential");
+  add_run_option(parser, kModelOption);
+  add_run_option(parser, kSeedOption);
+  add_run_option(parser, kStrategyOption);
   parser.add_option("jobs",
                     "worker threads for the Monte-Carlo trial pool "
                     "(1 = serial, 0 = all cores); per-trial interval "
@@ -723,21 +694,13 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
     return 0;
   }
   const auto trials = parser.option_int("trials");
-  const auto model = parser.option_int("model");
-  const auto seed = parser.option_int("seed");
   const auto jobs = parser.option_int("jobs");
-  if (!trials || *trials < 1 || !model || *model < 1 || *model > 3 || !seed ||
-      !jobs || *jobs < 0) {
+  if (!trials || *trials < 1 || !jobs || *jobs < 0) {
     err << "error: bad numeric option\n" << parser.usage();
     return 2;
   }
-  const auto strategy = parse_strategy(parser.option("strategy"));
-  if (!strategy) {
-    err << "error: unknown strategy '" << parser.option("strategy") << "'\n";
-    return 2;
-  }
-  const auto schemes = parse_scheme_list(parser.option("scheme"), err);
-  if (!schemes) return 2;
+  const auto run = read_run_options(parser, err);
+  if (!run) return 2;
 
   SweepConfig sweep;
   const std::string hosts = parser.option("hosts");
@@ -768,16 +731,14 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out,
   }
   if (parser.flag("sets")) {
     return run_set_size_study(sweep.host_counts,
-                              static_cast<std::size_t>(*trials),
-                              static_cast<std::uint64_t>(*seed), out);
+                              static_cast<std::size_t>(*trials), run->seed,
+                              out);
   }
-  sweep.schemes = *schemes;
+  sweep.schemes = run->schemes;
   sweep.trials = static_cast<std::size_t>(*trials);
-  sweep.base_seed = static_cast<std::uint64_t>(*seed);
-  sweep.base.drain_model = *model == 1   ? DrainModel::kConstantTotal
-                           : *model == 2 ? DrainModel::kLinearTotal
-                                         : DrainModel::kQuadraticTotal;
-  sweep.base.cds_options.strategy = *strategy;
+  sweep.base_seed = run->seed;
+  sweep.base.drain_model = run->drain_model;
+  sweep.base.cds_options.strategy = run->strategy;
 
   std::ofstream metrics_file;
   std::optional<obs::JsonlSink> metrics;

@@ -12,6 +12,7 @@
 #include "core/graph.hpp"
 #include "core/keys.hpp"
 #include "core/marking.hpp"
+#include "core/names.hpp"
 #include "core/rules.hpp"
 #include "core/workspace.hpp"
 
@@ -35,7 +36,13 @@ inline constexpr RuleSet kAllRuleSets[] = {RuleSet::kNR, RuleSet::kID,
                                            RuleSet::kND, RuleSet::kEL1,
                                            RuleSet::kEL2};
 
-[[nodiscard]] std::string to_string(RuleSet rs);
+inline constexpr WireName<RuleSet> kRuleSetNames[] = {
+    {RuleSet::kNR, "NR"},   {RuleSet::kID, "ID"},   {RuleSet::kND, "ND"},
+    {RuleSet::kEL1, "EL1"}, {RuleSet::kEL2, "EL2"}, {RuleSet::kSEL, "SEL"}};
+
+[[nodiscard]] inline std::string to_string(RuleSet rs) {
+  return wire_name(kRuleSetNames, rs);
+}
 
 /// True iff the scheme's priority key reads node energy levels.
 [[nodiscard]] bool uses_energy(RuleSet rs);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/graph.hpp"
+#include "core/names.hpp"
 
 namespace pacds {
 
@@ -39,7 +40,16 @@ enum class KeyKind : std::uint8_t {
   kStabilityEnergyId,  ///< (stability, energy, id) — scenario-pack SEL
 };
 
-[[nodiscard]] std::string to_string(KeyKind kind);
+inline constexpr WireName<KeyKind> kKeyKindNames[] = {
+    {KeyKind::kId, "ID"},
+    {KeyKind::kDegreeId, "ND"},
+    {KeyKind::kEnergyId, "EL1"},
+    {KeyKind::kEnergyDegreeId, "EL2"},
+    {KeyKind::kStabilityEnergyId, "SEL"}};
+
+[[nodiscard]] inline std::string to_string(KeyKind kind) {
+  return wire_name(kKeyKindNames, kind);
+}
 
 /// Strict-total-order comparator over the nodes of one graph snapshot.
 ///

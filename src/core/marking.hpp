@@ -4,9 +4,12 @@
 // marked set V' is a connected dominating set of every non-complete
 // connected component (Properties 1-3 of the paper).
 
+#include <string>
+
 #include "core/bitset.hpp"
 #include "core/graph.hpp"
 #include "core/keys.hpp"
+#include "core/names.hpp"
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
 
@@ -46,6 +49,14 @@ enum class CliquePolicy : std::uint8_t {
   kElectMaxKey,  ///< elect the highest-priority node of each complete
                  ///< component as its gateway (routing-friendly)
 };
+
+inline constexpr WireName<CliquePolicy> kCliquePolicyNames[] = {
+    {CliquePolicy::kNone, "none"},
+    {CliquePolicy::kElectMaxKey, "elect-max-key"}};
+
+[[nodiscard]] inline std::string to_string(CliquePolicy policy) {
+  return wire_name(kCliquePolicyNames, policy);
+}
 
 /// Applies `policy` to the marked set: for kElectMaxKey, each connected
 /// component with no marked node (necessarily complete, or a singleton)

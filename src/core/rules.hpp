@@ -26,6 +26,7 @@
 #include "core/graph.hpp"
 #include "core/keys.hpp"
 #include "core/marking.hpp"
+#include "core/names.hpp"
 #include "core/workspace.hpp"
 
 namespace pacds {
@@ -59,8 +60,20 @@ enum class Strategy : std::uint8_t {
   kVerified,
 };
 
-[[nodiscard]] std::string to_string(Rule2Form form);
-[[nodiscard]] std::string to_string(Strategy strategy);
+inline constexpr WireName<Rule2Form> kRule2FormNames[] = {
+    {Rule2Form::kSimple, "simple"}, {Rule2Form::kRefined, "refined"}};
+
+inline constexpr WireName<Strategy> kStrategyNames[] = {
+    {Strategy::kSimultaneous, "simultaneous"},
+    {Strategy::kSequential, "sequential"},
+    {Strategy::kVerified, "verified"}};
+
+[[nodiscard]] inline std::string to_string(Rule2Form form) {
+  return wire_name(kRule2FormNames, form);
+}
+[[nodiscard]] inline std::string to_string(Strategy strategy) {
+  return wire_name(kStrategyNames, strategy);
+}
 
 /// Full rule-application configuration.
 struct RuleConfig {

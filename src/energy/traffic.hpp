@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/names.hpp"
+
 namespace pacds {
 
 /// Gateway drain model selector.
@@ -22,6 +24,13 @@ enum class DrainModel : std::uint8_t {
   kLinearTotal,     ///< Model 2: d = N / |G'|
   kQuadraticTotal,  ///< Model 3: d = N(N-1)/2 / (divisor * |G'|)
 };
+
+/// Wire names (config JSON, run manifest). to_string below is the display
+/// label instead ("d=N/|G'|").
+inline constexpr WireName<DrainModel> kDrainModelNames[] = {
+    {DrainModel::kConstantTotal, "constant"},
+    {DrainModel::kLinearTotal, "linear"},
+    {DrainModel::kQuadraticTotal, "quadratic"}};
 
 [[nodiscard]] std::string to_string(DrainModel model);
 

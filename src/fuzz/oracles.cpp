@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/bb_mcds.hpp"
@@ -613,6 +615,28 @@ std::string canonical_stream(const std::string& stream) {
   return out.str();
 }
 
+/// "" when two canonical streams agree line for line; otherwise
+/// "canonical line N: <label_a>=<line> <label_b>=<line>" for the first
+/// difference (a missing line reads "<eof>").
+std::string first_divergence(const std::string& label_a, const std::string& a,
+                             const std::string& label_b,
+                             const std::string& b) {
+  if (a == b) return {};
+  std::istringstream in_a(a);
+  std::istringstream in_b(b);
+  std::string la;
+  std::string lb;
+  for (std::size_t line_no = 1;; ++line_no) {
+    const bool got_a = static_cast<bool>(std::getline(in_a, la));
+    const bool got_b = static_cast<bool>(std::getline(in_b, lb));
+    if (!got_a || !got_b || la != lb) {
+      return "canonical line " + std::to_string(line_no) + ": " + label_a +
+             "=" + (got_a ? la : "<eof>") + " " + label_b + "=" +
+             (got_b ? lb : "<eof>");
+    }
+  }
+}
+
 void check_serve_identity(const FuzzScenario& s, const OracleOptions& opts,
                           std::vector<OracleFailure>& failures) {
   const auto fail = [&](const std::string& detail) {
@@ -672,26 +696,79 @@ void check_serve_identity(const FuzzScenario& s, const OracleOptions& opts,
   if (opts.mutation == kMutateServeIdentity) {
     serve_canonical += "{\"type\":\"interval\",\"mutated\":true}\n";
   }
-  const std::string standalone_canonical =
-      canonical_stream(standalone.str());
-  if (serve_canonical == standalone_canonical) return;
-  std::istringstream a(serve_canonical);
-  std::istringstream b(standalone_canonical);
-  std::string la;
-  std::string lb;
-  std::size_t line_no = 1;
-  while (true) {
-    const bool got_a = static_cast<bool>(std::getline(a, la));
-    const bool got_b = static_cast<bool>(std::getline(b, lb));
-    if (!got_a && !got_b) break;
-    if (!got_a || !got_b || la != lb) {
-      fail("serve stream diverges from run_lifetime_trials at canonical "
-           "line " + std::to_string(line_no) + ": serve=" +
-           (got_a ? la : "<eof>") + " standalone=" + (got_b ? lb : "<eof>"));
-      return;
-    }
-    ++line_no;
+  const std::string diff =
+      first_divergence("serve", serve_canonical, "standalone",
+                       canonical_stream(standalone.str()));
+  if (!diff.empty()) {
+    fail("serve stream diverges from run_lifetime_trials at " + diff);
   }
+}
+
+/// The member `key` of a manifest record; throws when it is missing.
+const JsonValue& manifest_member(const JsonValue& manifest, const char* key) {
+  const JsonValue* member = manifest.find(key);
+  if (member == nullptr) {
+    throw std::runtime_error(std::string("run_manifest lacks \"") + key +
+                             "\"");
+  }
+  return *member;
+}
+
+void check_manifest_replay(const FuzzScenario& s, const OracleOptions& opts,
+                           std::vector<OracleFailure>& failures) {
+  const auto fail = [&](const std::string& detail) {
+    failures.push_back({"manifest-replay", detail + " [" + describe(s) + "]"});
+  };
+  // Two trials so the replay also re-derives per-trial seeds from the
+  // manifest's base_seed.
+  constexpr std::size_t kTrials = 2;
+  const FaultPlan* plan = s.faults.empty() ? nullptr : &s.faults;
+  std::ostringstream original;
+  {
+    obs::JsonlSink sink(original);
+    (void)run_lifetime_trials(s.config, kTrials, s.trial_seed, nullptr, &sink,
+                              plan);
+  }
+
+  // Everything the replay knows comes from the first manifest line.
+  SimConfig config;
+  std::optional<FaultPlan> faults;
+  std::uint64_t base_seed = 0;
+  std::size_t trials = 0;
+  try {
+    const std::string text = original.str();
+    const JsonValue manifest = parse_json(text.substr(0, text.find('\n')));
+    parse_sim_config_json(manifest_member(manifest, "config"), config,
+                          "run_manifest: ");
+    const JsonValue& plan_value = manifest_member(manifest, "faults");
+    if (!plan_value.is_null()) {
+      std::ostringstream plan_text;
+      {
+        JsonWriter json(plan_text);
+        write_json(json, plan_value);
+      }
+      faults = parse_fault_plan(plan_text.str());
+    }
+    base_seed = static_cast<std::uint64_t>(
+        manifest_member(manifest, "base_seed").as_number());
+    trials = static_cast<std::size_t>(
+        manifest_member(manifest, "trials").as_number());
+  } catch (const std::exception& e) {
+    fail(std::string("manifest does not parse back: ") + e.what());
+    return;
+  }
+  if (opts.mutation == kMutateManifestReplay) config.initial_energy += 1.0;
+
+  std::ostringstream replay;
+  {
+    obs::JsonlSink sink(replay);
+    (void)run_lifetime_trials(config, trials, base_seed, nullptr, &sink,
+                              faults ? &*faults : nullptr);
+  }
+  const std::string diff =
+      first_divergence("original", canonical_stream(original.str()), "replay",
+                       canonical_stream(replay.str()));
+  if (!diff.empty()) fail("replayed manifest diverges at " + diff);
 }
 
 }  // namespace
@@ -711,6 +788,7 @@ std::vector<OracleFailure> run_oracles(const FuzzScenario& scenario,
   check_empty_plan_identity(scenario, options, failures);
   check_simd_identity(scenario, options, failures);
   check_serve_identity(scenario, options, failures);
+  check_manifest_replay(scenario, options, failures);
   return failures;
 }
 

@@ -47,6 +47,14 @@
 //                         standalone run_lifetime_trials call: same records
 //                         byte for byte once the serve envelope, tenant
 //                         tags and wall-clock fields are stripped.
+//   manifest-replay     — a run rebuilt from nothing but its first
+//                         run_manifest line (config through
+//                         parse_sim_config_json, faults through
+//                         parse_fault_plan, base_seed, trials) emits a
+//                         canonically identical stream: same manifest, same
+//                         interval and fault_event records, wall-clock
+//                         fields aside. Catches any SimConfig field the
+//                         manifest's config object drops or garbles.
 //
 // Oracles that need preconditions (a connected snapshot, engine
 // eligibility, threads > 1, ...) skip silently when the scenario is outside
@@ -81,6 +89,7 @@ inline constexpr int kMutateEmptyPlanIdentity = 8;
 inline constexpr int kMutateSimdIdentity = 9;
 inline constexpr int kMutateServeIdentity = 10;
 inline constexpr int kMutateGapBound = 11;
+inline constexpr int kMutateManifestReplay = 12;
 
 struct OracleOptions {
   int mutation = kMutateNone;

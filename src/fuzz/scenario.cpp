@@ -237,7 +237,7 @@ std::string describe(const FuzzScenario& s) {
       << to_string(s.config.radio) << " mobility="
       << to_string(s.config.mobility_kind) << " depth="
       << JsonWriter::format_double(s.config.field_depth) << " drain="
-      << drain_model_name(s.config.drain_model) << " quantum="
+      << wire_name(kDrainModelNames, s.config.drain_model) << " quantum="
       << JsonWriter::format_double(s.config.energy_key_quantum) << " events="
       << resolve_schedule(s.faults).size()
       << (s.faults.channel.any() ? " channel=faulty" : "")

@@ -64,18 +64,6 @@ Graph build_rng_graph(const std::vector<Vec2>& positions, double radius) {
   });
 }
 
-std::string to_string(LinkModel model) {
-  switch (model) {
-    case LinkModel::kUnitDisk:
-      return "unit-disk";
-    case LinkModel::kGabriel:
-      return "gabriel";
-    case LinkModel::kRng:
-      return "rng";
-  }
-  return "?";
-}
-
 Graph build_links(const std::vector<Vec2>& positions, double radius,
                   LinkModel model) {
   switch (model) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/graph.hpp"
+#include "core/names.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -17,7 +18,14 @@ namespace pacds {
 /// Proximity-graph selector for simulation configs.
 enum class LinkModel : std::uint8_t { kUnitDisk, kGabriel, kRng };
 
-[[nodiscard]] std::string to_string(LinkModel model);
+inline constexpr WireName<LinkModel> kLinkModelNames[] = {
+    {LinkModel::kUnitDisk, "unit-disk"},
+    {LinkModel::kGabriel, "gabriel"},
+    {LinkModel::kRng, "rng"}};
+
+[[nodiscard]] inline std::string to_string(LinkModel model) {
+  return wire_name(kLinkModelNames, model);
+}
 
 /// Builds the selected proximity graph over `positions`.
 [[nodiscard]] Graph build_links(const std::vector<Vec2>& positions,

@@ -11,11 +11,32 @@
 #include <string>
 #include <vector>
 
+#include "core/names.hpp"
 #include "net/rng.hpp"
 #include "net/space.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
+
+/// Mobility model selector for configuration structs.
+enum class MobilityKind : std::uint8_t {
+  kPaperJump,
+  kRandomWalk,
+  kRandomWaypoint,
+  kGaussMarkov,
+  kStatic,
+};
+
+inline constexpr WireName<MobilityKind> kMobilityKindNames[] = {
+    {MobilityKind::kPaperJump, "paper-jump"},
+    {MobilityKind::kRandomWalk, "random-walk"},
+    {MobilityKind::kRandomWaypoint, "random-waypoint"},
+    {MobilityKind::kGaussMarkov, "gauss-markov"},
+    {MobilityKind::kStatic, "static"}};
+
+[[nodiscard]] inline std::string to_string(MobilityKind kind) {
+  return wire_name(kMobilityKindNames, kind);
+}
 
 /// Advances all host positions by one update interval.
 class MobilityModel {
@@ -39,7 +60,9 @@ class PaperJumpMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "paper-jump"; }
+  [[nodiscard]] std::string name() const override {
+    return to_string(MobilityKind::kPaperJump);
+  }
 
   /// Unit vector of paper direction code 1..8.
   [[nodiscard]] static Vec2 direction(int code);
@@ -58,7 +81,9 @@ class RandomWalkMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "random-walk"; }
+  [[nodiscard]] std::string name() const override {
+    return to_string(MobilityKind::kRandomWalk);
+  }
 
  private:
   double step_min_;
@@ -74,7 +99,9 @@ class RandomWaypointMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "random-waypoint"; }
+  [[nodiscard]] std::string name() const override {
+    return to_string(MobilityKind::kRandomWaypoint);
+  }
 
  private:
   struct HostState {
@@ -102,7 +129,9 @@ class GaussMarkovMobility final : public MobilityModel {
 
   void step(std::vector<Vec2>& positions, const Field& field,
             Xoshiro256& rng) override;
-  [[nodiscard]] std::string name() const override { return "gauss-markov"; }
+  [[nodiscard]] std::string name() const override {
+    return to_string(MobilityKind::kGaussMarkov);
+  }
 
  private:
   struct HostState {
@@ -123,19 +152,10 @@ class GaussMarkovMobility final : public MobilityModel {
 class StaticMobility final : public MobilityModel {
  public:
   void step(std::vector<Vec2>&, const Field&, Xoshiro256&) override {}
-  [[nodiscard]] std::string name() const override { return "static"; }
+  [[nodiscard]] std::string name() const override {
+    return to_string(MobilityKind::kStatic);
+  }
 };
-
-/// Mobility model selector for configuration structs.
-enum class MobilityKind : std::uint8_t {
-  kPaperJump,
-  kRandomWalk,
-  kRandomWaypoint,
-  kGaussMarkov,
-  kStatic,
-};
-
-[[nodiscard]] std::string to_string(MobilityKind kind);
 
 /// Parameter superset for the factory; each model reads its own fields.
 struct MobilityParams {

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "core/graph.hpp"
+#include "core/names.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -30,7 +31,14 @@ enum class RadioKind : std::uint8_t {
   kProbabilistic,  ///< link iff distance <= radius and a per-pair coin lands
 };
 
-[[nodiscard]] std::string to_string(RadioKind kind);
+inline constexpr WireName<RadioKind> kRadioKindNames[] = {
+    {RadioKind::kUnitDisk, "unit-disk"},
+    {RadioKind::kShadowing, "shadowing"},
+    {RadioKind::kProbabilistic, "probabilistic"}};
+
+[[nodiscard]] inline std::string to_string(RadioKind kind) {
+  return wire_name(kRadioKindNames, kind);
+}
 
 struct RadioParams {
   double sigma_db = 4.0;       ///< shadowing: fade stddev in dB

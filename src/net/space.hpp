@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/names.hpp"
 #include "net/vec2.hpp"
 
 namespace pacds {
@@ -19,7 +20,14 @@ namespace pacds {
 /// radio).
 enum class BoundaryPolicy : std::uint8_t { kClamp, kReflect, kWrap };
 
-[[nodiscard]] std::string to_string(BoundaryPolicy policy);
+inline constexpr WireName<BoundaryPolicy> kBoundaryPolicyNames[] = {
+    {BoundaryPolicy::kClamp, "clamp"},
+    {BoundaryPolicy::kReflect, "reflect"},
+    {BoundaryPolicy::kWrap, "wrap"}};
+
+[[nodiscard]] inline std::string to_string(BoundaryPolicy policy) {
+  return wire_name(kBoundaryPolicyNames, policy);
+}
 
 /// Axis-aligned field [0, width] x [0, height] (x [0, depth] when 3-D).
 class Field {

@@ -34,12 +34,7 @@ long integer_of(const JsonValue& value, const std::string& what, double lo,
 }
 
 Op parse_op(const std::string& name) {
-  if (name == "create") return Op::kCreate;
-  if (name == "tick") return Op::kTick;
-  if (name == "status") return Op::kStatus;
-  if (name == "evict") return Op::kEvict;
-  if (name == "sweep") return Op::kSweep;
-  if (name == "shutdown") return Op::kShutdown;
+  if (const auto op = parse_wire_name(kOpNames, name)) return *op;
   fail("unknown op \"" + name + "\"");
 }
 
@@ -54,18 +49,6 @@ bool op_takes(Op op, const std::string& key) {
 }
 
 }  // namespace
-
-const char* to_string(Op op) noexcept {
-  switch (op) {
-    case Op::kCreate: return "create";
-    case Op::kTick: return "tick";
-    case Op::kStatus: return "status";
-    case Op::kEvict: return "evict";
-    case Op::kSweep: return "sweep";
-    case Op::kShutdown: return "shutdown";
-  }
-  return "?";
-}
 
 const char* error_code_name(ErrorCode code) noexcept {
   switch (code) {

@@ -1,7 +1,7 @@
 #pragma once
 // Wire protocol for `pacds serve`: one strict JSON object per input line
 // (parsed with io/json_parse, so duplicate keys, trailing garbage and type
-// mismatches are all hard errors), one or more schema-v1 JSONL records per
+// mismatches are all hard errors), one or more metrics-schema JSONL records per
 // request on the output stream. Request kinds:
 //
 //   {"op":"create","tenant":"a","config":{...},"seed":7,"trials":2,
@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/names.hpp"
 #include "obs/jsonl.hpp"
 #include "sim/faults.hpp"
 #include "sim/lifetime.hpp"
@@ -50,6 +51,11 @@ enum class Op : std::uint8_t {
   kShutdown,
 };
 
+inline constexpr WireName<Op> kOpNames[] = {
+    {Op::kCreate, "create"}, {Op::kTick, "tick"},
+    {Op::kStatus, "status"}, {Op::kEvict, "evict"},
+    {Op::kSweep, "sweep"},   {Op::kShutdown, "shutdown"}};
+
 /// Error taxonomy (DESIGN.md §12). Every rejected request names exactly one.
 enum class ErrorCode : std::uint8_t {
   kParse,         ///< line is not one well-formed JSON object
@@ -60,7 +66,9 @@ enum class ErrorCode : std::uint8_t {
   kShutdown,      ///< received after a shutdown request was processed
 };
 
-[[nodiscard]] const char* to_string(Op op) noexcept;
+[[nodiscard]] inline const char* to_string(Op op) noexcept {
+  return wire_name(kOpNames, op);
+}
 [[nodiscard]] const char* error_code_name(ErrorCode code) noexcept;
 
 /// One parsed request. `seq` is server-assigned (the 1-based input line

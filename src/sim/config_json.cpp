@@ -1,6 +1,7 @@
 #include "sim/config_json.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -12,99 +13,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& prefix, const std::string& message) {
   throw std::runtime_error(prefix + message);
-}
-
-DrainModel parse_drain(const std::string& prefix, const std::string& name) {
-  if (name == "constant") return DrainModel::kConstantTotal;
-  if (name == "linear") return DrainModel::kLinearTotal;
-  if (name == "quadratic") return DrainModel::kQuadraticTotal;
-  fail(prefix, "unknown drain model \"" + name + "\"");
-}
-
-BoundaryPolicy parse_boundary(const std::string& prefix,
-                              const std::string& name) {
-  if (name == "clamp") return BoundaryPolicy::kClamp;
-  if (name == "reflect") return BoundaryPolicy::kReflect;
-  if (name == "wrap") return BoundaryPolicy::kWrap;
-  fail(prefix, "unknown boundary policy \"" + name + "\"");
-}
-
-LinkModel parse_link(const std::string& prefix, const std::string& name) {
-  if (name == "unit-disk") return LinkModel::kUnitDisk;
-  if (name == "gabriel") return LinkModel::kGabriel;
-  if (name == "rng") return LinkModel::kRng;
-  fail(prefix, "unknown link model \"" + name + "\"");
-}
-
-RuleSet parse_scheme(const std::string& prefix, const std::string& name) {
-  if (name == "NR") return RuleSet::kNR;
-  if (name == "ID") return RuleSet::kID;
-  if (name == "ND") return RuleSet::kND;
-  if (name == "EL1") return RuleSet::kEL1;
-  if (name == "EL2") return RuleSet::kEL2;
-  if (name == "SEL") return RuleSet::kSEL;
-  fail(prefix, "unknown scheme \"" + name + "\"");
-}
-
-MobilityKind parse_mobility(const std::string& prefix,
-                            const std::string& name) {
-  if (name == "paper-jump") return MobilityKind::kPaperJump;
-  if (name == "random-walk") return MobilityKind::kRandomWalk;
-  if (name == "random-waypoint") return MobilityKind::kRandomWaypoint;
-  if (name == "gauss-markov") return MobilityKind::kGaussMarkov;
-  if (name == "static") return MobilityKind::kStatic;
-  fail(prefix, "unknown mobility model \"" + name + "\"");
-}
-
-RadioKind parse_radio(const std::string& prefix, const std::string& name) {
-  if (name == "unit-disk") return RadioKind::kUnitDisk;
-  if (name == "shadowing") return RadioKind::kShadowing;
-  if (name == "probabilistic") return RadioKind::kProbabilistic;
-  fail(prefix, "unknown radio \"" + name + "\"");
-}
-
-CliquePolicy parse_clique(const std::string& prefix, const std::string& name) {
-  if (name == "none") return CliquePolicy::kNone;
-  if (name == "elect-max-key") return CliquePolicy::kElectMaxKey;
-  fail(prefix, "unknown clique policy \"" + name + "\"");
-}
-
-KeyKind parse_key_kind(const std::string& prefix, const std::string& name) {
-  if (name == "ID") return KeyKind::kId;
-  if (name == "ND") return KeyKind::kDegreeId;
-  if (name == "EL1") return KeyKind::kEnergyId;
-  if (name == "EL2") return KeyKind::kEnergyDegreeId;
-  if (name == "SEL") return KeyKind::kStabilityEnergyId;
-  fail(prefix, "unknown key kind \"" + name + "\"");
-}
-
-Rule2Form parse_rule2_form(const std::string& prefix,
-                           const std::string& name) {
-  if (name == "simple") return Rule2Form::kSimple;
-  if (name == "refined") return Rule2Form::kRefined;
-  fail(prefix, "unknown rule2 form \"" + name + "\"");
-}
-
-Strategy parse_strategy(const std::string& prefix, const std::string& name) {
-  if (name == "sequential") return Strategy::kSequential;
-  if (name == "simultaneous") return Strategy::kSimultaneous;
-  if (name == "verified") return Strategy::kVerified;
-  fail(prefix, "unknown strategy \"" + name + "\"");
-}
-
-BackboneMode parse_backbone(const std::string& prefix,
-                            const std::string& name) {
-  if (name == "scheme") return BackboneMode::kScheme;
-  if (name == "cds22") return BackboneMode::kCds22;
-  fail(prefix, "unknown backbone \"" + name + "\"");
-}
-
-SimEngine parse_engine(const std::string& prefix, const std::string& name) {
-  if (name == "auto") return SimEngine::kAuto;
-  if (name == "full") return SimEngine::kFullRebuild;
-  if (name == "incremental") return SimEngine::kIncremental;
-  if (name == "tiled") return SimEngine::kTiled;
-  fail(prefix, "unknown engine \"" + name + "\"");
 }
 
 const std::string& string_of(const std::string& prefix, const JsonValue& value,
@@ -136,6 +44,17 @@ bool bool_of(const std::string& prefix, const JsonValue& value,
              const std::string& what) {
   if (!value.is_bool()) fail(prefix, what + " must be a boolean");
   return value.as_bool();
+}
+
+/// The enumerator `value` names in the enum's wire-name table; `noun` words
+/// the error ("unknown mobility model \"warp\"").
+template <typename Enum, std::size_t N>
+Enum enum_of(const std::string& prefix, const JsonValue& value,
+             const std::string& what, const WireName<Enum> (&table)[N],
+             const char* noun) {
+  const std::string& name = string_of(prefix, value, what);
+  if (const auto parsed = parse_wire_name(table, name)) return *parsed;
+  fail(prefix, "unknown " + std::string(noun) + " \"" + name + "\"");
 }
 
 // The 2^53 ceiling keeps integer-valued doubles exact, so a seed survives
@@ -232,25 +151,25 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
       // Optional (older corpus entries predate 3-D fields); 0 = planar.
       config.field_depth = number_of(prefix, member, "config.field_depth");
     } else if (key == "boundary") {
-      config.boundary = parse_boundary(
-          prefix, string_of(prefix, member, "config.boundary"));
+      config.boundary = enum_of(prefix, member, "config.boundary",
+                                kBoundaryPolicyNames, "boundary policy");
     } else if (key == "radius") {
       config.radius = number_of(prefix, member, "config.radius");
     } else if (key == "link_model") {
-      config.link_model =
-          parse_link(prefix, string_of(prefix, member, "config.link_model"));
+      config.link_model = enum_of(prefix, member, "config.link_model",
+                                  kLinkModelNames, "link model");
     } else if (key == "radio") {
       // Optional (older corpus entries predate radio models).
       config.radio =
-          parse_radio(prefix, string_of(prefix, member, "config.radio"));
+          enum_of(prefix, member, "config.radio", kRadioKindNames, "radio");
     } else if (key == "radio_params") {
       parse_radio_params(prefix, member, config.radio_params);
     } else if (key == "initial_energy") {
       config.initial_energy =
           number_of(prefix, member, "config.initial_energy");
     } else if (key == "drain_model") {
-      config.drain_model = parse_drain(
-          prefix, string_of(prefix, member, "config.drain_model"));
+      config.drain_model = enum_of(prefix, member, "config.drain_model",
+                                   kDrainModelNames, "drain model");
     } else if (key == "drain_params") {
       // Optional: the drain shape knobs always defaulted on the wire before.
       parse_drain_params(prefix, member, config.drain_params);
@@ -268,31 +187,33 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
       // every non-default mobility model silently round-tripped back to
       // paper-jump, so serve tenants and replayed scenarios simulated a
       // different trajectory family than the one requested.
-      config.mobility_kind = parse_mobility(
-          prefix, string_of(prefix, member, "config.mobility"));
+      config.mobility_kind = enum_of(prefix, member, "config.mobility",
+                                     kMobilityKindNames, "mobility model");
     } else if (key == "mobility_params") {
       parse_mobility_params(prefix, member, config.mobility_params);
     } else if (key == "scheme") {
       config.rule_set =
-          parse_scheme(prefix, string_of(prefix, member, "config.scheme"));
+          enum_of(prefix, member, "config.scheme", kRuleSetNames, "scheme");
     } else if (key == "strategy") {
-      config.cds_options.strategy = parse_strategy(
-          prefix, string_of(prefix, member, "config.strategy"));
+      config.cds_options.strategy = enum_of(
+          prefix, member, "config.strategy", kStrategyNames, "strategy");
     } else if (key == "clique_policy") {
       // Optional (defaulted silently before; another dropped-on-the-wire
       // field the exhaustive round-trip test now pins).
-      config.cds_options.clique_policy = parse_clique(
-          prefix, string_of(prefix, member, "config.clique_policy"));
+      config.cds_options.clique_policy =
+          enum_of(prefix, member, "config.clique_policy", kCliquePolicyNames,
+                  "clique policy");
     } else if (key == "custom_key") {
       if (member.is_null()) {
         config.custom_key.reset();
       } else {
-        config.custom_key = parse_key_kind(
-            prefix, string_of(prefix, member, "config.custom_key"));
+        config.custom_key = enum_of(prefix, member, "config.custom_key",
+                                    kKeyKindNames, "key kind");
       }
     } else if (key == "custom_rule2_form") {
-      config.custom_rule2_form = parse_rule2_form(
-          prefix, string_of(prefix, member, "config.custom_rule2_form"));
+      config.custom_rule2_form =
+          enum_of(prefix, member, "config.custom_rule2_form",
+                  kRule2FormNames, "rule2 form");
     } else if (key == "use_rule_k") {
       config.use_rule_k = bool_of(prefix, member, "config.use_rule_k");
     } else if (key == "quantum") {
@@ -306,11 +227,11 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
           number_of(prefix, member, "config.stability_quantum");
     } else if (key == "engine") {
       config.engine =
-          parse_engine(prefix, string_of(prefix, member, "config.engine"));
+          enum_of(prefix, member, "config.engine", kSimEngineNames, "engine");
     } else if (key == "backbone") {
       // Optional (older corpus entries predate the (2,2) backbone).
-      config.backbone = parse_backbone(
-          prefix, string_of(prefix, member, "config.backbone"));
+      config.backbone = enum_of(prefix, member, "config.backbone",
+                                kBackboneModeNames, "backbone");
     } else if (key == "tiles") {
       // Optional (older corpus entries predate the tiled engine): requested
       // tile count, 0 = auto. The TileGrid clamps, so any value is safe.
@@ -395,7 +316,8 @@ void write_sim_config_json(JsonWriter& json, const SimConfig& config) {
       .value(static_cast<std::size_t>(config.radio_params.fading_seed));
   json.end_object();
   json.key("initial_energy").value(config.initial_energy);
-  json.key("drain_model").value(drain_model_name(config.drain_model));
+  json.key("drain_model")
+      .value(wire_name(kDrainModelNames, config.drain_model));
   json.key("drain_params").begin_object();
   json.key("nongateway_drain").value(config.drain_params.nongateway_drain);
   json.key("constant_base").value(config.drain_params.constant_base);
@@ -421,10 +343,7 @@ void write_sim_config_json(JsonWriter& json, const SimConfig& config) {
   json.end_object();
   json.key("scheme").value(to_string(config.rule_set));
   json.key("strategy").value(to_string(config.cds_options.strategy));
-  json.key("clique_policy")
-      .value(config.cds_options.clique_policy == CliquePolicy::kElectMaxKey
-                 ? "elect-max-key"
-                 : "none");
+  json.key("clique_policy").value(to_string(config.cds_options.clique_policy));
   if (config.custom_key.has_value()) {
     json.key("custom_key").value(to_string(*config.custom_key));
   } else {
@@ -443,18 +362,6 @@ void write_sim_config_json(JsonWriter& json, const SimConfig& config) {
       .value(static_cast<std::int64_t>(config.max_intervals));
   json.key("connect_retries").value(config.connect_retries);
   json.end_object();
-}
-
-const char* drain_model_name(DrainModel model) noexcept {
-  switch (model) {
-    case DrainModel::kConstantTotal:
-      return "constant";
-    case DrainModel::kLinearTotal:
-      return "linear";
-    case DrainModel::kQuadraticTotal:
-      return "quadratic";
-  }
-  return "?";
 }
 
 }  // namespace pacds

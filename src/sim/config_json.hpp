@@ -1,10 +1,13 @@
 #pragma once
 // The SimConfig wire format: one strict JSON object mapping knob names to
-// values, shared by the fuzz corpus ("config" in a pacds-fuzz-repro file)
-// and the serve request schema ("config" in a create request). Unknown
-// keys, wrong types, out-of-range values and inconsistent combinations all
-// throw — both consumers promise that a config that parses is one the
-// simulator will accept, and neither tolerates silent key drops.
+// values, and the only code that writes or reads SimConfig fields as JSON.
+// It is shared by the fuzz corpus ("config" in a pacds-fuzz-repro file),
+// the serve request schema ("config" in a create request) and the metrics
+// run manifest ("config" in a run_manifest record, so a manifest replays).
+// Enum values travel as the names in each enum's wire-name table
+// (core/names.hpp). Unknown keys, wrong types, out-of-range values and
+// inconsistent combinations all throw — a config that parses is one the
+// simulator will accept, and no consumer tolerates silent key drops.
 
 #include <string>
 
@@ -26,8 +29,5 @@ void parse_sim_config_json(const JsonValue& value, SimConfig& config,
 /// explicit, in the pinned corpus order. Exact round trip: parsing the
 /// output reproduces the trial-relevant fields bit for bit.
 void write_sim_config_json(JsonWriter& json, const SimConfig& config);
-
-/// Stable wire name of a drain model ("constant" / "linear" / "quadratic").
-[[nodiscard]] const char* drain_model_name(DrainModel model) noexcept;
 
 }  // namespace pacds

@@ -50,7 +50,15 @@ enum class SimEngine : std::uint8_t {
   kTiled,
 };
 
-[[nodiscard]] std::string to_string(SimEngine engine);
+inline constexpr WireName<SimEngine> kSimEngineNames[] = {
+    {SimEngine::kAuto, "auto"},
+    {SimEngine::kFullRebuild, "full"},
+    {SimEngine::kIncremental, "incremental"},
+    {SimEngine::kTiled, "tiled"}};
+
+[[nodiscard]] inline std::string to_string(SimEngine engine) {
+  return wire_name(kSimEngineNames, engine);
+}
 
 /// What kind of backbone each interval maintains.
 enum class BackboneMode : std::uint8_t {
@@ -66,7 +74,12 @@ enum class BackboneMode : std::uint8_t {
   kCds22,
 };
 
-[[nodiscard]] std::string to_string(BackboneMode mode);
+inline constexpr WireName<BackboneMode> kBackboneModeNames[] = {
+    {BackboneMode::kScheme, "scheme"}, {BackboneMode::kCds22, "cds22"}};
+
+[[nodiscard]] inline std::string to_string(BackboneMode mode) {
+  return wire_name(kBackboneModeNames, mode);
+}
 
 /// All knobs of one lifetime simulation; defaults are the paper's settings.
 struct SimConfig {

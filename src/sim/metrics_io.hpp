@@ -1,8 +1,9 @@
 #pragma once
-// JSONL emission for lifetime runs: a run-manifest record capturing the full
-// SimConfig + seed bookkeeping, and an IntervalObserver that streams one
-// record per update interval through the shared JsonlSink. Record schema is
-// documented in DESIGN.md ("Observability") and pinned by obs_jsonl_test.
+// JSONL emission for lifetime runs: a run-manifest record carrying the run's
+// SimConfig in its canonical wire format (sim/config_json) plus the seed
+// bookkeeping, and an IntervalObserver that streams one record per update
+// interval through the shared JsonlSink. Record schema is documented in
+// DESIGN.md ("Observability") and pinned by obs_jsonl_test.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,12 +15,15 @@
 namespace pacds {
 
 /// Bumped whenever a record field changes meaning; every record carries it.
-inline constexpr int kMetricsSchemaVersion = 1;
+/// v2: the run manifest nests the SimConfig under "config" (v1 flattened it
+/// into top-level keys of its own naming).
+inline constexpr int kMetricsSchemaVersion = 2;
 
-/// Writes one `"type": "run_manifest"` line: every SimConfig knob (enums as
-/// their to_string names), the resolved engine, `base_seed`, and `trials`.
-/// A non-null, non-empty `faults` plan is embedded (normalized) under the
-/// `"faults"` key; otherwise the key is emitted as null.
+/// Writes one `"type": "run_manifest"` line: `base_seed`, `trials`, the
+/// resolved engine name, and under `"config"` the object
+/// write_sim_config_json emits — so parse_sim_config_json on it reproduces
+/// the run's SimConfig. A non-null, non-empty `faults` plan is embedded
+/// (normalized) under the `"faults"` key; otherwise the key is null.
 void write_run_manifest(obs::JsonlSink& sink, const SimConfig& config,
                         std::uint64_t base_seed, std::size_t trials,
                         const FaultPlan* faults = nullptr);

@@ -222,8 +222,10 @@ TEST(CliTest, SimMetricsEmitsManifestPlusIntervalRecords) {
     const std::string& type = record.find("type")->as_string();
     if (line_count == 0) {
       EXPECT_EQ(type, "run_manifest");
-      EXPECT_EQ(record.find("scheme")->as_string(), "EL1");
-      EXPECT_EQ(record.find("n_hosts")->as_number(), 12.0);
+      const JsonValue* config = record.find("config");
+      ASSERT_NE(config, nullptr);
+      EXPECT_EQ(config->find("scheme")->as_string(), "EL1");
+      EXPECT_EQ(config->find("n")->as_number(), 12.0);
       EXPECT_EQ(record.find("trials")->as_number(), 2.0);
     } else {
       EXPECT_EQ(type, "interval");

@@ -16,6 +16,8 @@
 
 #include "io/json.hpp"
 #include "io/json_parse.hpp"
+#include "obs/jsonl.hpp"
+#include "sim/metrics_io.hpp"
 
 namespace pacds {
 namespace {
@@ -155,6 +157,23 @@ TEST(ConfigJsonTest, EveryFieldRoundTripsLossless) {
   // Byte stability: re-serializing the parsed config reproduces the exact
   // document, so nothing is normalized or defaulted along the way.
   EXPECT_EQ(to_json(parsed), wire);
+}
+
+// The run manifest embeds the same wire format under "config", so a
+// manifest replays: parsing its config object reproduces the run's SimConfig
+// field for field.
+TEST(ConfigJsonTest, ManifestConfigRoundTripsLossless) {
+  for (const SimConfig& original : {non_default_config(), SimConfig{}}) {
+    std::ostringstream out;
+    obs::JsonlSink sink(out);
+    write_run_manifest(sink, original, 7, 3);
+    const JsonValue manifest = parse_json(out.str());
+    const JsonValue* config = manifest.find("config");
+    ASSERT_NE(config, nullptr);
+    SimConfig parsed;
+    parse_sim_config_json(*config, parsed, "test: ");
+    expect_config_eq(parsed, original);
+  }
 }
 
 TEST(ConfigJsonTest, DefaultsRoundTrip) {

@@ -483,6 +483,11 @@ TEST(DegradedModeTest, ManifestEmbedsThePlan) {
   ASSERT_NE(faults, nullptr);
   ASSERT_TRUE(faults->is_object());
   EXPECT_EQ(faults->find("crashes")->as_array().size(), 2u);
+  // The plan rides beside the SimConfig object, never inside it.
+  const JsonValue* embedded = manifest.find("config");
+  ASSERT_NE(embedded, nullptr);
+  EXPECT_EQ(embedded->find("n")->as_number(), config.n_hosts);
+  EXPECT_EQ(embedded->find("faults"), nullptr);
 
   // Fault-free runs pin the key to null (additive-schema guarantee).
   std::ostringstream clean_out;

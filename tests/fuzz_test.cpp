@@ -199,6 +199,8 @@ TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
        [](const FuzzScenario& s) { return !s.faults.has_lifetime_events(); }},
       {kMutateServeIdentity, "serve-identity",
        [](const FuzzScenario&) { return true; }},
+      {kMutateManifestReplay, "manifest-replay",
+       [](const FuzzScenario&) { return true; }},
       // gap-bound's mutation is caught unconditionally by the bitmask
       // differential, which needs the exhaustive solver's n <= 20 domain
       // and a scenario dense enough that the connected snapshot the oracle
@@ -257,6 +259,27 @@ TEST(FuzzShrinkTest, ShrinksWhilePreservingTheFailingOracle) {
   EXPECT_GT(shrunk.steps_kept, 0u);
   EXPECT_TRUE(fails_oracle(shrunk.scenario, kMutateEnergyAccounting,
                            "energy-conservation"));
+}
+
+TEST(FuzzShrinkTest, ManifestReplayFailureShrinksToTheFloor) {
+  // A replay that drifts from its manifest (the mutation perturbs one
+  // parsed-back field) fails on every scenario, so the shrinker must keep
+  // the manifest-replay failure all the way down to the n=4 floor.
+  const std::int64_t index = find_scenario(
+      1, [](const FuzzScenario& s) { return s.config.n_hosts > 8; });
+  ASSERT_GE(index, 0);
+  const FuzzScenario original =
+      random_scenario(1, static_cast<std::uint64_t>(index));
+  const ShrinkResult shrunk = shrink_scenario(
+      original, "manifest-replay", OracleOptions{kMutateManifestReplay});
+  EXPECT_EQ(shrunk.oracle, "manifest-replay");
+  EXPECT_NE(shrunk.detail.find("replayed manifest diverges"),
+            std::string::npos)
+      << shrunk.detail;
+  EXPECT_EQ(shrunk.scenario.config.n_hosts, 4);
+  EXPECT_GT(shrunk.steps_kept, 0u);
+  EXPECT_TRUE(fails_oracle(shrunk.scenario, kMutateManifestReplay,
+                           "manifest-replay"));
 }
 
 TEST(FuzzShrinkTest, RejectsTransformsThatLoseTheFailure) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -99,21 +100,32 @@ TEST_F(MetricsSchemaTest, EveryLineParsesManifestFirstThenIntervals) {
   ASSERT_EQ(lines.size(), sink.records());
   ASSERT_GE(lines.size(), 3u);  // manifest + at least one interval per trial
 
-  // Line 0: the run manifest with the full config.
+  // Line 0: the run manifest — run facts at the top level, the full config
+  // (sim/config_json's wire format) under "config" and nowhere else.
   const JsonValue manifest = parse_json(lines.front());
+  std::vector<std::string> top_level;
+  for (const auto& [key, value] : manifest.as_object()) {
+    top_level.push_back(key);
+  }
+  EXPECT_EQ(top_level,
+            (std::vector<std::string>{"type", "schema", "base_seed", "trials",
+                                      "engine", "config", "faults"}));
   EXPECT_EQ(manifest.find("type")->as_string(), "run_manifest");
   EXPECT_EQ(manifest.find("schema")->as_number(), kMetricsSchemaVersion);
   EXPECT_EQ(manifest.find("base_seed")->as_number(), 2001.0);
   EXPECT_EQ(manifest.find("trials")->as_number(), 2.0);
-  EXPECT_EQ(manifest.find("n_hosts")->as_number(), 20.0);
-  EXPECT_EQ(manifest.find("scheme")->as_string(), "EL2");
   EXPECT_EQ(manifest.find("engine")->as_string(), "incremental");
-  EXPECT_EQ(manifest.find("backbone")->as_string(), "scheme");
+  const JsonValue* embedded = manifest.find("config");
+  ASSERT_NE(embedded, nullptr);
+  ASSERT_TRUE(embedded->is_object());
+  EXPECT_EQ(embedded->find("n")->as_number(), 20.0);
+  EXPECT_EQ(embedded->find("scheme")->as_string(), "EL2");
+  EXPECT_EQ(embedded->find("backbone")->as_string(), "scheme");
   for (const char* key :
        {"threads", "field_width", "field_height", "boundary", "radius",
         "link_model", "initial_energy", "drain_model", "mobility",
         "strategy", "clique_policy", "max_intervals"}) {
-    EXPECT_NE(manifest.find(key), nullptr) << "manifest missing " << key;
+    EXPECT_NE(embedded->find(key), nullptr) << "config missing " << key;
   }
 
   // Every other line: an interval record with the documented fields.
@@ -187,6 +199,26 @@ TEST(StreamValidatorTest, AcceptsARealMetricsStreamAndCountsTypes) {
   EXPECT_EQ(v.count_of("run_manifest"), 1u);
   EXPECT_GE(v.count_of("interval"), 2u);
   EXPECT_EQ(v.lines, v.count_of("run_manifest") + v.count_of("interval"));
+}
+
+TEST(StreamValidatorTest, AcceptsACommittedSchemaV1Stream) {
+  // tests/data/metrics_v1.jsonl was written by the last schema-v1 build
+  // (`pacds sim --n 10 --trials 1 --scheme EL2 --metrics ...`): its manifest
+  // flattens the config into top-level keys. Archived v1 streams must keep
+  // validating after the manifest moved to schema v2.
+  std::ifstream in(std::string(PACDS_TEST_DATA_DIR) + "/metrics_v1.jsonl");
+  ASSERT_TRUE(in.good());
+  std::string first;
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, first)));
+  const JsonValue manifest = parse_json(first);
+  EXPECT_EQ(manifest.find("schema")->as_number(), 1.0);
+  EXPECT_EQ(manifest.find("config"), nullptr);
+  EXPECT_EQ(manifest.find("n_hosts")->as_number(), 10.0);
+  in.seekg(0);
+  const obs::StreamValidation v = obs::validate_metrics_stream(in);
+  EXPECT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(v.count_of("run_manifest"), 1u);
+  EXPECT_GT(v.count_of("interval"), 0u);
 }
 
 TEST(StreamValidatorTest, RejectsEnvelopeViolations) {

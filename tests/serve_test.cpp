@@ -437,7 +437,7 @@ TEST(ServeServerTest, OutputIdenticalAcrossServerThreads) {
 }
 
 // The full serve output — responses and errors included — is a valid
-// schema-v1 metrics stream, so CI can pipe it straight into
+// schema-valid metrics stream, so CI can pipe it straight into
 // `bench_report --validate-jsonl --strict`.
 TEST(ServeServerTest, FullStreamPassesSchemaValidation) {
   const std::string out = serve_lines(
