@@ -5,7 +5,7 @@
 // keys, Model 1 drain, coarse key buckets, stay probability 0.95 — so the
 // n = 10k rows splice onto the n <= 800 curves in BENCH_lifetime.json.
 //
-// The 1M row doubles as the peak-memory demonstration for DESIGN.md §9:
+// The 1M row doubles as the peak-memory demonstration for DESIGN.md §10:
 // the run only exists because per-tile dense rows are O(L²/64) with L the
 // local-universe size — a global dense substrate would need O(n²) = 125 GB
 // of bits at this size before computing anything.

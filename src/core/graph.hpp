@@ -151,4 +151,38 @@ class Graph {
   std::uint64_t version_ = 0;
 };
 
+/// A batch of topology changes.
+struct EdgeDelta {
+  std::vector<std::pair<NodeId, NodeId>> added;
+  std::vector<std::pair<NodeId, NodeId>> removed;
+
+  [[nodiscard]] bool empty() const { return added.empty() && removed.empty(); }
+
+  void clear() {
+    added.clear();
+    removed.clear();
+  }
+};
+
+/// Two-pointer walk over two ascending neighbor rows: calls `removed(x)` for
+/// every x only in `old_row` and `added(x)` for every x only in `new_row`.
+template <typename Removed, typename Added>
+void diff_sorted_rows(std::span<const NodeId> old_row,
+                      std::span<const NodeId> new_row, Removed&& removed,
+                      Added&& added) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < old_row.size() || j < new_row.size()) {
+    if (j == new_row.size() ||
+        (i < old_row.size() && old_row[i] < new_row[j])) {
+      removed(old_row[i++]);
+    } else if (i == old_row.size() || new_row[j] < old_row[i]) {
+      added(new_row[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+}
+
 }  // namespace pacds

@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -248,23 +247,6 @@ void IncrementalCds::ingest_stability(const std::vector<double>& stability) {
 void IncrementalCds::apply_delta(const EdgeDelta& delta) {
   ingest_delta(delta);
   propagate();
-}
-
-void IncrementalCds::move_node(NodeId v,
-                               const std::vector<NodeId>& new_neighbors) {
-  EdgeDelta delta;
-  const auto old_nbrs = graph_.neighbors(v);
-  std::vector<NodeId> sorted_new = new_neighbors;
-  std::sort(sorted_new.begin(), sorted_new.end());
-  for (const NodeId u : old_nbrs) {
-    if (!std::binary_search(sorted_new.begin(), sorted_new.end(), u)) {
-      delta.removed.emplace_back(v, u);
-    }
-  }
-  for (const NodeId u : sorted_new) {
-    if (!graph_.has_edge(v, u)) delta.added.emplace_back(v, u);
-  }
-  apply_delta(delta);
 }
 
 void IncrementalCds::set_energy(const std::vector<double>& energy) {

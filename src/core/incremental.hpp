@@ -34,19 +34,6 @@
 
 namespace pacds {
 
-/// A batch of topology changes.
-struct EdgeDelta {
-  std::vector<std::pair<NodeId, NodeId>> added;
-  std::vector<std::pair<NodeId, NodeId>> removed;
-
-  [[nodiscard]] bool empty() const { return added.empty() && removed.empty(); }
-
-  void clear() {
-    added.clear();
-    removed.clear();
-  }
-};
-
 /// Maintains the gateway set of an evolving graph with localized updates.
 ///
 /// Always uses Strategy::kSimultaneous internally (the `strategy` field of
@@ -94,10 +81,6 @@ class IncrementalCds {
   /// exists or a removed edge is absent (callers must pass a consistent
   /// delta).
   void apply_delta(const EdgeDelta& delta);
-
-  /// Convenience: replace node v's neighborhood (host moved); computes the
-  /// delta internally and applies it.
-  void move_node(NodeId v, const std::vector<NodeId>& new_neighbors);
 
   /// Replaces the energy levels, re-evaluating only around nodes whose
   /// level differs from the stored one. A no-op region-wise for schemes

@@ -30,4 +30,16 @@ void StabilityTracker::commit() {
   }
 }
 
+void StabilityTracker::commit_delta(const EdgeDelta& delta) {
+  for (const auto& [u, v] : delta.added) {
+    count(u);
+    count(v);
+  }
+  for (const auto& [u, v] : delta.removed) {
+    count(u);
+    count(v);
+  }
+  commit();
+}
+
 }  // namespace pacds

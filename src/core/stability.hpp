@@ -3,11 +3,11 @@
 // neighborhood churn (link endpoints gained or lost this interval) feeds a
 // first-order EWMA, and the quantized EWMA is the "instability" half of the
 // (stability, energy, id) key. The tracker is engine-agnostic on purpose:
-// the full-rebuild engine counts churn by diffing consecutive adjacency
-// lists while the incremental/tiled engines count the endpoints of their
-// exact edge deltas — both produce the same integer counts (the delta IS
-// the symmetric difference of the two link sets), so the EWMA arithmetic,
-// and therefore the CDS, stays bit-identical across engines.
+// every engine feeds it the symmetric difference of two consecutive link
+// sets through commit_delta — the incremental/tiled engines their link
+// maintainer's delta, the full-rebuild engine one collected by diffing
+// consecutive adjacency rows — so the integer counts, the EWMA arithmetic,
+// and therefore the CDS, stay bit-identical across engines.
 
 #include <cstddef>
 #include <vector>
@@ -31,6 +31,11 @@ class StabilityTracker {
   /// Folds the interval's counts into the EWMA and resets them. Call
   /// exactly once per interval, after every link change was counted.
   void commit();
+
+  /// The one feed every engine uses: counts both endpoints of each edge of
+  /// `delta` (the symmetric difference of two consecutive link sets, each
+  /// changed pair listed once), then commits.
+  void commit_delta(const EdgeDelta& delta);
 
   /// Quantized per-host churn estimates for PriorityKey / compute_cds.
   /// Valid until the next commit(); all zeros before the first one.

@@ -7,7 +7,7 @@
 // costs O(L²/64) bits with L = |tile| + |halo| regardless of n, which is the
 // peak-memory bound the tiled engine advertises.
 //
-// Correctness contract (DESIGN.md §9): every stage decision of the
+// Correctness contract (DESIGN.md §10): every stage decision of the
 // simultaneous pipeline is a pure function of inputs within a fixed radius
 // of the deciding node —
 //

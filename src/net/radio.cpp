@@ -5,7 +5,7 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "net/udg.hpp"
+#include "net/link_maintainer.hpp"
 
 namespace pacds {
 
@@ -110,17 +110,7 @@ double RadioModel::arq_drop(NodeId u, NodeId v) const {
 
 Graph build_radio_links(const std::vector<Vec2>& positions, double radius,
                         const RadioModel& radio) {
-  const Graph udg = build_udg(positions, radius);
-  if (radio.kind() == RadioKind::kUnitDisk) return udg;
-  Graph g(udg.num_nodes());
-  for (const auto& [u, v] : udg.edges()) {
-    if (radio.link(u, v,
-                   distance2(positions[static_cast<std::size_t>(u)],
-                             positions[static_cast<std::size_t>(v)]))) {
-      g.add_edge(u, v);
-    }
-  }
-  return g;
+  return LinkMaintainer(radius, radio).build(positions);
 }
 
 }  // namespace pacds

@@ -83,7 +83,8 @@ class RadioModel {
 
 /// Builds the proximity graph gated by `radio` on top of the nominal
 /// unit-disk candidates: every UDG edge survives iff radio.link says so.
-/// With RadioKind::kUnitDisk this is exactly build_udg.
+/// With RadioKind::kUnitDisk this is exactly build_udg. One pass of the
+/// link maintainer's grid loop (net/link_maintainer.hpp), veto inline.
 [[nodiscard]] Graph build_radio_links(const std::vector<Vec2>& positions,
                                       double radius, const RadioModel& radio);
 

@@ -32,70 +32,79 @@ const std::vector<double>& quantize_key_levels(
   return scratch;
 }
 
+// ---- Shared construction ---------------------------------------------------
+
+std::optional<RadioModel> LifetimeEngine::make_radio(const SimConfig& config) {
+  if (config.radio == RadioKind::kUnitDisk) return std::nullopt;
+  if (config.link_model != LinkModel::kUnitDisk) {
+    throw std::invalid_argument(
+        "LifetimeEngine: a non-unit-disk radio composes only with unit-disk "
+        "links");
+  }
+  return RadioModel(config.radio, config.radio_params, config.radius);
+}
+
+std::optional<StabilityTracker> LifetimeEngine::make_tracker(
+    const SimConfig& config) {
+  const bool wants_stability = config.custom_key
+                                   ? uses_stability(*config.custom_key)
+                                   : uses_stability(config.rule_set);
+  if (!wants_stability) return std::nullopt;
+  return StabilityTracker(static_cast<std::size_t>(config.n_hosts),
+                          config.stability_beta, config.stability_quantum);
+}
+
+namespace {
+
+/// The rebuilding engines' link graph: radio-vetoed unit disk, or the
+/// configured link model.
+Graph rebuild_links(const SimConfig& config,
+                    const std::optional<RadioModel>& radio,
+                    const std::vector<Vec2>& positions) {
+  return radio ? build_radio_links(positions, config.radius, *radio)
+               : build_links(positions, config.radius, config.link_model);
+}
+
+}  // namespace
+
 // ---- FullRebuildEngine -----------------------------------------------------
 
 FullRebuildEngine::FullRebuildEngine(const SimConfig& config)
-    : config_(config) {
+    : config_(config),
+      radio_(make_radio(config)),
+      tracker_(make_tracker(config)) {
   make_interval_pool(config_.threads, pool_);
-  if (config_.radio != RadioKind::kUnitDisk) {
-    if (config_.link_model != LinkModel::kUnitDisk) {
-      throw std::invalid_argument(
-          "FullRebuildEngine: a non-unit-disk radio composes only with "
-          "unit-disk links");
-    }
-    radio_.emplace(config_.radio, config_.radio_params, config_.radius);
-  }
-  const bool wants_stability = config_.custom_key
-                                   ? uses_stability(*config_.custom_key)
-                                   : uses_stability(config_.rule_set);
-  if (wants_stability) {
-    tracker_.emplace(static_cast<std::size_t>(config_.n_hosts),
-                     config_.stability_beta, config_.stability_quantum);
-  }
 }
 
 void FullRebuildEngine::update(const std::vector<Vec2>& positions,
                                const std::vector<double>& levels) {
   with_pool_accounting(pool_, [&] {
-    std::optional<Graph> links;
-    {
+    Graph links = [&] {
       const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-      links.emplace(radio_
-                        ? build_radio_links(positions, config_.radius, *radio_)
-                        : build_links(positions, config_.radius,
-                                      config_.link_model));
-    }
+      return rebuild_links(config_, radio_, positions);
+    }();
     if (tracker_) {
+      // Every pair whose row entry changed since last interval, once (from
+      // its smaller endpoint): the same delta the link maintainer hands the
+      // incremental engines, so the EWMA streams (and hence the SEL keys)
+      // agree bit-for-bit across engines.
+      churn_.clear();
       if (graph_) {
-        // Two-pointer diff of each node's sorted row against last interval:
-        // every endpoint of every changed edge accrues exactly one count —
-        // the same accounting the incremental engines get from counting both
-        // endpoints of their delta edges, so the EWMA streams (and hence the
-        // SEL keys) agree bit-for-bit across engines.
         const auto n = static_cast<NodeId>(positions.size());
         for (NodeId v = 0; v < n; ++v) {
-          const auto old_row = graph_->neighbors(v);
-          const auto new_row = links->neighbors(v);
-          std::size_t i = 0;
-          std::size_t j = 0;
-          while (i < old_row.size() || j < new_row.size()) {
-            if (j == new_row.size() ||
-                (i < old_row.size() && old_row[i] < new_row[j])) {
-              tracker_->count(v);
-              ++i;
-            } else if (i == old_row.size() || new_row[j] < old_row[i]) {
-              tracker_->count(v);
-              ++j;
-            } else {
-              ++i;
-              ++j;
-            }
-          }
+          diff_sorted_rows(
+              graph_->neighbors(v), links.neighbors(v),
+              [&](NodeId u) {
+                if (v < u) churn_.removed.emplace_back(v, u);
+              },
+              [&](NodeId u) {
+                if (v < u) churn_.added.emplace_back(v, u);
+              });
         }
       }
-      tracker_->commit();
+      tracker_->commit_delta(churn_);
     }
-    graph_ = std::move(*links);
+    graph_ = std::move(links);
     const Graph& g = *graph_;
     const auto& keys =
         quantize_key_levels(levels, config_.energy_key_quantum, key_scratch_);
@@ -135,115 +144,14 @@ std::size_t FullRebuildEngine::last_touched() const {
 
 IncrementalEngine::IncrementalEngine(const SimConfig& config)
     : config_(config),
-      moved_(static_cast<std::size_t>(config.n_hosts)) {
+      links_(config.radius, make_radio(config)),
+      tracker_(make_tracker(config)) {
   if (!incremental_engine_eligible(config_)) {
     throw std::invalid_argument(
         "IncrementalEngine: configuration not eligible (needs simultaneous "
         "strategy, no custom key, unit-disk links)");
   }
   make_interval_pool(config_.threads, pool_);
-  if (config_.radio != RadioKind::kUnitDisk) {
-    radio_.emplace(config_.radio, config_.radio_params, config_.radius);
-  }
-  if (uses_stability(config_.rule_set)) {
-    tracker_.emplace(static_cast<std::size_t>(config_.n_hosts),
-                     config_.stability_beta, config_.stability_quantum);
-  }
-}
-
-void IncrementalEngine::initialize(const std::vector<Vec2>& positions,
-                                   const std::vector<double>& keys) {
-  std::optional<Graph> links;
-  {
-    const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-    prev_positions_ = positions;
-    grid_.emplace(prev_positions_,
-                  config_.radius > 0.0 ? config_.radius : 1.0);
-    const auto n = static_cast<NodeId>(positions.size());
-    links.emplace(n);
-    for (NodeId u = 0; u < n; ++u) {
-      grid_->query_into(positions[static_cast<std::size_t>(u)], config_.radius,
-                        u, nbrs_);
-      for (const NodeId v : nbrs_) {
-        if (v > u &&
-            (!radio_ ||
-             radio_->link(u, v,
-                          distance2(positions[static_cast<std::size_t>(u)],
-                                    positions[static_cast<std::size_t>(v)])))) {
-          links->add_edge(u, v);
-        }
-      }
-    }
-  }
-  // The first interval has no link history: commit once on zero counts so
-  // the EWMA cadence matches the full-rebuild engine's (one commit per
-  // update), leaving every host maximally stable.
-  if (tracker_) tracker_->commit();
-  cds_.emplace(std::move(*links), config_.rule_set,
-               uses_energy(config_.rule_set) ? keys : std::vector<double>{},
-               config_.cds_options,
-               ExecContext{pool_ ? &*pool_ : nullptr, &workspace_, metrics_},
-               tracker_ ? tracker_->stability() : std::vector<double>{});
-}
-
-void IncrementalEngine::extract_delta(const std::vector<Vec2>& positions) {
-  delta_.clear();
-  movers_.clear();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (positions[i] != prev_positions_[i]) {
-      movers_.push_back(static_cast<NodeId>(i));
-      moved_.set(i);
-    }
-  }
-  // Re-file every mover first so neighborhood queries see the full new
-  // configuration (the grid reads through prev_positions_).
-  for (const NodeId v : movers_) {
-    const auto vi = static_cast<std::size_t>(v);
-    grid_->move(v, prev_positions_[vi], positions[vi]);
-    prev_positions_[vi] = positions[vi];
-  }
-  for (const NodeId v : movers_) {
-    grid_->query_into(prev_positions_[static_cast<std::size_t>(v)],
-                      config_.radius, v, nbrs_);
-    // The stored rows are radio-filtered, so the candidate list must be
-    // too, or the diff would re-add edges the channel vetoes. Safe pairwise
-    // because the radio's fade is a pure hash of (seed, pair): re-evaluating
-    // one mover's links cannot disturb anyone else's.
-    if (radio_) {
-      nbrs_.erase(
-          std::remove_if(
-              nbrs_.begin(), nbrs_.end(),
-              [&](NodeId u) {
-                return !radio_->link(
-                    v, u,
-                    distance2(prev_positions_[static_cast<std::size_t>(v)],
-                              prev_positions_[static_cast<std::size_t>(u)]));
-              }),
-          nbrs_.end());
-    }
-    // Two-pointer diff of old vs new sorted neighbor lists. A pair whose
-    // endpoints both moved shows up in both diffs; keep it only for the
-    // smaller endpoint.
-    const auto keep = [&](NodeId u) {
-      return !moved_.test(static_cast<std::size_t>(u)) || v < u;
-    };
-    const auto old = cds_->graph().neighbors(v);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < old.size() || j < nbrs_.size()) {
-      if (j == nbrs_.size() || (i < old.size() && old[i] < nbrs_[j])) {
-        if (keep(old[i])) delta_.removed.emplace_back(v, old[i]);
-        ++i;
-      } else if (i == old.size() || nbrs_[j] < old[i]) {
-        if (keep(nbrs_[j])) delta_.added.emplace_back(v, nbrs_[j]);
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-  for (const NodeId v : movers_) moved_.reset(static_cast<std::size_t>(v));
 }
 
 void IncrementalEngine::update(const std::vector<Vec2>& positions,
@@ -252,56 +160,49 @@ void IncrementalEngine::update(const std::vector<Vec2>& positions,
     const auto& keys =
         quantize_key_levels(levels, config_.energy_key_quantum, key_scratch_);
     if (!cds_) {
-      initialize(positions, keys);
+      Graph links = [&] {
+        const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
+        return links_.build(positions);
+      }();
+      // The first interval has no link history: commit once on zero counts
+      // so the EWMA cadence matches the full-rebuild engine's (one commit
+      // per update), leaving every host maximally stable.
+      if (tracker_) tracker_->commit();
+      cds_.emplace(
+          std::move(links), config_.rule_set,
+          uses_energy(config_.rule_set) ? keys : std::vector<double>{},
+          config_.cds_options,
+          ExecContext{pool_ ? &*pool_ : nullptr, &workspace_, metrics_},
+          tracker_ ? tracker_->stability() : std::vector<double>{});
       return;
     }
-    {
+    const EdgeDelta& delta = [&]() -> const EdgeDelta& {
       const obs::PhaseTimer timer(metrics_, obs::Phase::kDeltaExtract);
-      extract_delta(positions);
-    }
+      return links_.diff(positions, cds_->graph());
+    }();
     if (metrics_ != nullptr) {
-      metrics_->add(obs::Counter::kEdgesAdded, delta_.added.size());
-      metrics_->add(obs::Counter::kEdgesRemoved, delta_.removed.size());
+      metrics_->add(obs::Counter::kEdgesAdded, delta.added.size());
+      metrics_->add(obs::Counter::kEdgesRemoved, delta.removed.size());
     }
     if (tracker_) {
-      // The deduped delta IS the symmetric difference of the two link sets,
-      // so counting both endpoints matches the full-rebuild row diffs.
-      for (const auto& [u, v] : delta_.added) {
-        tracker_->count(u);
-        tracker_->count(v);
-      }
-      for (const auto& [u, v] : delta_.removed) {
-        tracker_->count(u);
-        tracker_->count(v);
-      }
-      tracker_->commit();
-      cds_->advance(delta_, keys, tracker_->stability());
+      tracker_->commit_delta(delta);
+      cds_->advance(delta, keys, tracker_->stability());
     } else {
-      cds_->advance(delta_, keys);
+      cds_->advance(delta, keys);
     }
   });
 }
 
 // ---- Cds22Engine -----------------------------------------------------------
 
-Cds22Engine::Cds22Engine(const SimConfig& config) : config_(config) {
-  if (config_.radio != RadioKind::kUnitDisk) {
-    if (config_.link_model != LinkModel::kUnitDisk) {
-      throw std::invalid_argument(
-          "Cds22Engine: a non-unit-disk radio composes only with unit-disk "
-          "links");
-    }
-    radio_.emplace(config_.radio, config_.radio_params, config_.radius);
-  }
-}
+Cds22Engine::Cds22Engine(const SimConfig& config)
+    : config_(config), radio_(make_radio(config)) {}
 
 void Cds22Engine::update(const std::vector<Vec2>& positions,
                          const std::vector<double>& /*levels*/) {
   {
     const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-    graph_.emplace(
-        radio_ ? build_radio_links(positions, config_.radius, *radio_)
-               : build_links(positions, config_.radius, config_.link_model));
+    graph_ = rebuild_links(config_, radio_, positions);
   }
   // Keep the cached backbone while it still verifies as a plain CDS of the
   // current links. Deliberately *not* check_cds22: after a member crash the

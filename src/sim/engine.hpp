@@ -1,22 +1,29 @@
 #pragma once
 // Per-interval recomputation engines for the lifetime simulator. One
 // update interval needs (link graph, gateway set) for the current positions
-// and battery levels; the two engines get there differently:
+// and battery levels; the four engines get there differently:
 //
-//   FullRebuildEngine — rebuild_links + compute_cds from scratch (the
+//   FullRebuildEngine — rebuilds the links + compute_cds from scratch (the
 //     original simulator inner loop, and the only option for sequential
 //     strategies, custom keys, or non-unit-disk link models).
 //
 //   IncrementalEngine — keeps one persistent Graph and an IncrementalCds
-//     across intervals. Moved hosts are detected by position diff, re-filed
-//     in a SpatialGrid, and their changed links extracted as an EdgeDelta;
-//     the delta plus the quantized-energy diff drive one localized
-//     IncrementalCds::advance. Steady-state intervals are allocation-free.
+//     across intervals. Its LinkMaintainer (net/link_maintainer.hpp) turns
+//     each interval's moves into an EdgeDelta; the delta plus the
+//     quantized-energy diff drive one localized IncrementalCds::advance.
+//     Steady-state intervals are allocation-free.
 //
-// Wherever the incremental engine is eligible the two are bit-identical —
-// same gateway bitsets, same counts, hence byte-for-byte equal TrialResults
-// (tests/engine_equivalence_test asserts this across schemes, mobility
-// models and seeds).
+//   TiledEngine (sim/tiled_engine.hpp) — the same link maintainer feeding
+//     spatial tiles that re-decide dirty regions in parallel at large n.
+//
+//   Cds22Engine — maintains a (2,2)-connected backbone instead of the
+//     rule-derived gateway set (BackboneMode::kCds22).
+//
+// Wherever the delta engines are eligible they are bit-identical to the
+// full rebuild — same gateway bitsets, same counts, hence byte-for-byte
+// equal TrialResults (tests/engine_equivalence_test and
+// tests/tiled_equivalence_test assert this across schemes, mobility models
+// and seeds).
 
 #include <memory>
 #include <optional>
@@ -27,8 +34,8 @@
 #include "core/incremental.hpp"
 #include "core/stability.hpp"
 #include "core/workspace.hpp"
+#include "net/link_maintainer.hpp"
 #include "net/radio.hpp"
-#include "net/udg.hpp"
 #include "net/vec2.hpp"
 #include "obs/metrics.hpp"
 #include "sim/lifetime.hpp"
@@ -101,6 +108,18 @@ class LifetimeEngine {
   /// Lets derived engines forward the pointer into owned components.
   virtual void on_set_metrics() {}
 
+  /// The per-pair channel veto every engine builds from config: engaged
+  /// when config.radio != unit-disk (it can only veto unit-disk candidate
+  /// edges, never add longer ones). Throws std::invalid_argument when such
+  /// a radio meets a non-unit-disk link model.
+  [[nodiscard]] static std::optional<RadioModel> make_radio(
+      const SimConfig& config);
+
+  /// Per-host churn EWMA feeding the SEL key; engaged when the scheme (or
+  /// custom key) reads stability.
+  [[nodiscard]] static std::optional<StabilityTracker> make_tracker(
+      const SimConfig& config);
+
   /// Records how many chunk tasks `update_fn` pushed through the pool.
   /// Wraps the body so the submitted-task counter diff lands in metrics_.
   template <typename Fn>
@@ -144,18 +163,16 @@ class FullRebuildEngine final : public LifetimeEngine {
   std::optional<Graph> graph_;
   CdsResult cds_;
   std::vector<double> key_scratch_;
-  /// Per-pair channel model; engaged when config.radio != unit-disk (it can
-  /// only veto unit-disk candidate edges, never add longer ones).
   std::optional<RadioModel> radio_;
-  /// Per-host churn EWMA feeding the SEL key; engaged when the scheme (or
-  /// custom key) reads stability. Fed by diffing consecutive adjacency rows.
+  /// Fed by diffing consecutive adjacency rows into churn_.
   std::optional<StabilityTracker> tracker_;
+  EdgeDelta churn_;
   /// Intra-interval pool (config.threads != 1) + reusable pass scratch.
   std::optional<ThreadPool> pool_;
   CdsWorkspace workspace_;
 };
 
-/// Persistent-state fast path: spatial-grid edge deltas + IncrementalCds.
+/// Persistent-state fast path: link-maintainer edge deltas + IncrementalCds.
 /// Construction checks eligibility (see incremental_engine_eligible) and
 /// throws std::invalid_argument when the configuration is not covered.
 class IncrementalEngine final : public LifetimeEngine {
@@ -182,33 +199,16 @@ class IncrementalEngine final : public LifetimeEngine {
   void on_set_metrics() override {
     if (cds_) cds_->set_metrics(metrics_);
   }
-  void initialize(const std::vector<Vec2>& positions,
-                  const std::vector<double>& keys);
-  void extract_delta(const std::vector<Vec2>& positions);
 
   SimConfig config_;
-  /// The grid indexes this copy (it holds a pointer into it), so the engine
-  /// owns the previous interval's positions and must not move them.
-  std::vector<Vec2> prev_positions_;
-  std::optional<SpatialGrid> grid_;
-  /// Per-pair channel veto over the grid's unit-disk candidates (engaged
-  /// when config.radio != unit-disk) — the deterministic pair hash makes
-  /// the predicate re-evaluable edge by edge, which is exactly what delta
-  /// extraction needs.
-  std::optional<RadioModel> radio_;
-  /// Per-host churn EWMA feeding the SEL key; fed with both endpoints of
-  /// every delta edge (== the full-rebuild engine's row-diff counts).
+  LinkMaintainer links_;
+  /// Fed with the link maintainer's delta every interval.
   std::optional<StabilityTracker> tracker_;
   /// Intra-interval pool (config.threads != 1) + reusable pass scratch;
   /// declared before cds_, which borrows both for its lifetime.
   std::optional<ThreadPool> pool_;
   CdsWorkspace workspace_;
   std::optional<IncrementalCds> cds_;
-  // Steady-state scratch — reused, never reallocated after warm-up.
-  EdgeDelta delta_;
-  std::vector<NodeId> movers_;
-  std::vector<NodeId> nbrs_;
-  DynBitset moved_;
   std::vector<double> key_scratch_;
 };
 
@@ -250,8 +250,7 @@ class Cds22Engine final : public LifetimeEngine {
  private:
   SimConfig config_;
   std::optional<Graph> graph_;
-  /// Per-pair channel veto (config.radio != unit-disk); the backbone is
-  /// maintained on whatever link graph the radio admits.
+  /// The backbone is maintained on whatever link graph the radio admits.
   std::optional<RadioModel> radio_;
   DynBitset backbone_;
   bool have_backbone_ = false;

@@ -1,50 +1,27 @@
 #include "sim/tiled_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pacds {
 
 TiledEngine::TiledEngine(const SimConfig& config)
-    : config_(config), moved_(static_cast<std::size_t>(config.n_hosts)) {
+    : config_(config),
+      links_(config.radius, make_radio(config)),
+      tracker_(make_tracker(config)) {
   if (!tiled_engine_eligible(config_)) {
     throw std::invalid_argument(
         "TiledEngine: configuration not eligible (needs simultaneous "
         "strategy, no custom key, unit-disk links, no clique policy)");
   }
   make_interval_pool(config_.threads, pool_);
-  if (config_.radio != RadioKind::kUnitDisk) {
-    radio_.emplace(config_.radio, config_.radio_params, config_.radius);
-  }
-  if (uses_stability(config_.rule_set)) {
-    tracker_.emplace(static_cast<std::size_t>(config_.n_hosts),
-                     config_.stability_beta, config_.stability_quantum);
-  }
 }
 
 void TiledEngine::initialize(const std::vector<Vec2>& positions) {
   const obs::PhaseTimer timer(metrics_, obs::Phase::kLinkBuild);
-  prev_positions_ = positions;
-  const double cell = config_.radius > 0.0 ? config_.radius : 1.0;
-  grid_.emplace(prev_positions_, cell);
-  const auto n = static_cast<NodeId>(positions.size());
-  graph_.emplace(n);
-  for (NodeId u = 0; u < n; ++u) {
-    grid_->query_into(positions[static_cast<std::size_t>(u)], config_.radius,
-                      u, nbrs_);
-    for (const NodeId v : nbrs_) {
-      if (v > u &&
-          (!radio_ ||
-           radio_->link(u, v,
-                        distance2(positions[static_cast<std::size_t>(u)],
-                                  positions[static_cast<std::size_t>(v)])))) {
-        graph_->add_edge(u, v);
-      }
-    }
-  }
+  graph_.emplace(links_.build(positions));
   tiles_.reset(config_.field_width, config_.field_height, config_.radius,
                config_.tiles, positions.size());
-  tiles_.assign_all(prev_positions_);
+  tiles_.assign_all(positions);
   tile_local_.resize(static_cast<std::size_t>(tiles_.tile_count()));
   lane_scratch_.resize(pool_ ? pool_->max_lanes() : 1);
 
@@ -57,70 +34,8 @@ void TiledEngine::initialize(const std::vector<Vec2>& positions) {
   for (std::size_t t = 0; t < dirty_tiles_.size(); ++t) dirty_tiles_.set(t);
 }
 
-void TiledEngine::extract_delta(const std::vector<Vec2>& positions) {
-  const double dirt = 3.0 * tiles_.radius();
-  delta_.clear();
-  movers_.clear();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (positions[i] != prev_positions_[i]) {
-      movers_.push_back(static_cast<NodeId>(i));
-      moved_.set(i);
-    }
-  }
-  // Re-file every mover first so neighborhood queries see the full new
-  // configuration; dirty both endpoints of the jump while the old position
-  // is still at hand.
-  for (const NodeId v : movers_) {
-    const auto vi = static_cast<std::size_t>(v);
-    tiles_.mark_dirty_around(prev_positions_[vi], dirt, dirty_tiles_);
-    tiles_.mark_dirty_around(positions[vi], dirt, dirty_tiles_);
-    tiles_.move_host(v, prev_positions_[vi], positions[vi]);
-    grid_->move(v, prev_positions_[vi], positions[vi]);
-    prev_positions_[vi] = positions[vi];
-  }
-  for (const NodeId v : movers_) {
-    grid_->query_into(prev_positions_[static_cast<std::size_t>(v)],
-                      config_.radius, v, nbrs_);
-    // The stored rows are radio-filtered, so the candidate list must be
-    // too, or the diff would re-add edges the channel vetoes.
-    if (radio_) {
-      nbrs_.erase(
-          std::remove_if(
-              nbrs_.begin(), nbrs_.end(),
-              [&](NodeId u) {
-                return !radio_->link(
-                    v, u,
-                    distance2(prev_positions_[static_cast<std::size_t>(v)],
-                              prev_positions_[static_cast<std::size_t>(u)]));
-              }),
-          nbrs_.end());
-    }
-    // Two-pointer diff of old vs new sorted neighbor lists. A pair whose
-    // endpoints both moved shows up in both diffs; keep it only for the
-    // smaller endpoint.
-    const auto keep = [&](NodeId u) {
-      return !moved_.test(static_cast<std::size_t>(u)) || v < u;
-    };
-    const auto old = graph_->neighbors(v);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < old.size() || j < nbrs_.size()) {
-      if (j == nbrs_.size() || (i < old.size() && old[i] < nbrs_[j])) {
-        if (keep(old[i])) delta_.removed.emplace_back(v, old[i]);
-        ++i;
-      } else if (i == old.size() || nbrs_[j] < old[i]) {
-        if (keep(nbrs_[j])) delta_.added.emplace_back(v, nbrs_[j]);
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-  for (const NodeId v : movers_) moved_.reset(static_cast<std::size_t>(v));
-}
-
-void TiledEngine::run_stages(const std::vector<double>& keys) {
+void TiledEngine::run_stages(const std::vector<Vec2>& positions,
+                             const std::vector<double>& keys) {
   const bool needs_energy = uses_energy(config_.rule_set);
   const PriorityKey key(key_kind_of(config_.rule_set), *graph_,
                         needs_energy ? &keys : nullptr,
@@ -150,7 +65,7 @@ void TiledEngine::run_stages(const std::vector<double>& keys) {
   // Local universes and dense rows, once per dirty tile per interval; all
   // three stages reuse them.
   for_each_dirty([&](int t, std::size_t lane) {
-    build_tile_local(*graph_, tiles_, prev_positions_, t, lane_scratch_[lane],
+    build_tile_local(*graph_, tiles_, positions, t, lane_scratch_[lane],
                      tile_local_[static_cast<std::size_t>(t)]);
   });
 
@@ -203,31 +118,30 @@ void TiledEngine::update(const std::vector<Vec2>& positions,
         prev_stab_ = tracker_->stability();
       }
       if (metrics_ != nullptr) metrics_->add(obs::Counter::kFullRefreshes);
-      run_stages(keys);
+      run_stages(positions, keys);
       return;
     }
-    {
+    const EdgeDelta& delta = [&]() -> const EdgeDelta& {
       const obs::PhaseTimer timer(metrics_, obs::Phase::kDeltaExtract);
-      extract_delta(positions);
-    }
+      const EdgeDelta& links_delta = links_.diff(positions, *graph_);
+      // Dirty both endpoints of every jump and re-file the host's tile.
+      const double dirt = 3.0 * tiles_.radius();
+      for (const auto& [v, from] : links_.movers()) {
+        const Vec2 to = positions[static_cast<std::size_t>(v)];
+        tiles_.mark_dirty_around(from, dirt, dirty_tiles_);
+        tiles_.mark_dirty_around(to, dirt, dirty_tiles_);
+        tiles_.move_host(v, from, to);
+      }
+      return links_delta;
+    }();
     if (metrics_ != nullptr) {
-      metrics_->add(obs::Counter::kEdgesAdded, delta_.added.size());
-      metrics_->add(obs::Counter::kEdgesRemoved, delta_.removed.size());
+      metrics_->add(obs::Counter::kEdgesAdded, delta.added.size());
+      metrics_->add(obs::Counter::kEdgesRemoved, delta.removed.size());
     }
-    for (const auto& [u, v] : delta_.removed) graph_->remove_edge(u, v);
-    for (const auto& [u, v] : delta_.added) graph_->add_edge(u, v);
+    for (const auto& [u, v] : delta.removed) graph_->remove_edge(u, v);
+    for (const auto& [u, v] : delta.added) graph_->add_edge(u, v);
     if (tracker_) {
-      // Both endpoints of every (deduped) delta edge — the same counts the
-      // full-rebuild engine derives from row diffs.
-      for (const auto& [u, v] : delta_.added) {
-        tracker_->count(u);
-        tracker_->count(v);
-      }
-      for (const auto& [u, v] : delta_.removed) {
-        tracker_->count(u);
-        tracker_->count(v);
-      }
-      tracker_->commit();
+      tracker_->commit_delta(delta);
       // Stability-bucket changes dirty 2r around the host exactly like the
       // energy-key diff below (same marked-node filter, same locality
       // argument). This pass is what catches EWMA *decay*: a long-quiet
@@ -237,7 +151,7 @@ void TiledEngine::update(const std::vector<Vec2>& positions,
       const double dirt = 2.0 * tiles_.radius();
       for (std::size_t i = 0; i < stab.size(); ++i) {
         if (stab[i] != prev_stab_[i] && marked_.test(i)) {
-          tiles_.mark_dirty_around(prev_positions_[i], dirt, dirty_tiles_);
+          tiles_.mark_dirty_around(positions[i], dirt, dirty_tiles_);
         }
       }
       prev_stab_ = stab;
@@ -263,12 +177,12 @@ void TiledEngine::update(const std::vector<Vec2>& positions,
       const double dirt = 2.0 * tiles_.radius();
       for (std::size_t i = 0; i < keys.size(); ++i) {
         if (keys[i] != prev_keys_[i] && marked_.test(i)) {
-          tiles_.mark_dirty_around(prev_positions_[i], dirt, dirty_tiles_);
+          tiles_.mark_dirty_around(positions[i], dirt, dirty_tiles_);
         }
       }
       prev_keys_ = keys;
     }
-    run_stages(keys);
+    run_stages(positions, keys);
   });
 }
 

@@ -2,12 +2,12 @@
 // The tiled lifetime engine: spatial tiles (core/tiles.hpp) over a
 // persistent CSR graph. Each interval it
 //
-//   1. extracts the edge delta exactly like IncrementalEngine (spatial-grid
-//      re-file + sorted neighbor diff) and applies it to the global graph;
+//   1. takes the edge delta from its LinkMaintainer (net/link_maintainer.hpp,
+//      the one IncrementalEngine uses too) and applies it to the global graph;
 //   2. marks dirty every tile whose rectangle intersects the 3r bounding
 //      box of a changed position or of a host whose quantized key changed —
 //      a superset of the tiles any stage decision can flip in (DESIGN.md
-//      §9, locality radii in core/tiles.hpp);
+//      §10, locality radii in core/tiles.hpp);
 //   3. re-files moved hosts between tile owned-lists;
 //   4. runs the three simultaneous stages over the dirty tiles: each stage
 //      computes every dirty tile's owned decisions in parallel against the
@@ -24,9 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "core/tiles.hpp"
-#include "net/udg.hpp"
+#include "net/link_maintainer.hpp"
 #include "sim/engine.hpp"
 
 namespace pacds {
@@ -55,21 +54,14 @@ class TiledEngine final : public LifetimeEngine {
 
  private:
   void initialize(const std::vector<Vec2>& positions);
-  /// Mover detection + grid re-file + sorted neighbor diff (mirrors
-  /// IncrementalEngine::extract_delta), plus tile re-files and 3r dirty
-  /// marking around every mover's old and new position.
-  void extract_delta(const std::vector<Vec2>& positions);
-  void run_stages(const std::vector<double>& keys);
+  void run_stages(const std::vector<Vec2>& positions,
+                  const std::vector<double>& keys);
 
   SimConfig config_;
-  std::vector<Vec2> prev_positions_;
-  std::optional<SpatialGrid> grid_;
-  /// Per-pair channel veto over the grid's unit-disk candidates (engaged
-  /// when config.radio != unit-disk). Links only ever get shorter, so the
-  /// 3r/2r tile dirt radii stay valid supersets.
-  std::optional<RadioModel> radio_;
-  /// Per-host churn EWMA feeding the SEL key; fed with both endpoints of
-  /// every delta edge (== the full-rebuild engine's row-diff counts).
+  /// A fading radio only ever shortens links, so the 3r/2r tile dirt radii
+  /// stay valid supersets.
+  LinkMaintainer links_;
+  /// Fed with the link maintainer's delta every interval.
   std::optional<StabilityTracker> tracker_;
   std::optional<ThreadPool> pool_;
   std::optional<Graph> graph_;
@@ -89,10 +81,6 @@ class TiledEngine final : public LifetimeEngine {
   std::size_t last_touched_ = 0;
 
   // Steady-state scratch — reused, never reallocated after warm-up.
-  EdgeDelta delta_;
-  std::vector<NodeId> movers_;
-  std::vector<NodeId> nbrs_;
-  DynBitset moved_;
   std::vector<double> prev_keys_;
   /// Last interval's quantized stability buckets (kSEL only): the diff
   /// drives 2r key-dirt exactly like prev_keys_, and is what catches

@@ -263,6 +263,25 @@ TEST(EngineSelectionTest, ForcedIncrementalThrowsWhenIneligible) {
   EXPECT_THROW((void)run_lifetime_trial(config, 1), std::invalid_argument);
 }
 
+TEST(EngineSelectionTest, FadingRadioWithPrunedLinksThrowsInTheEngines) {
+  // A fading radio only vetoes unit-disk candidates, so it cannot compose
+  // with Gabriel pruning; the rebuilding engines refuse the pair themselves.
+  SimConfig config = base_config();
+  config.radio = RadioKind::kShadowing;
+  config.link_model = LinkModel::kGabriel;
+  config.engine = SimEngine::kFullRebuild;
+  EXPECT_THROW((void)make_lifetime_engine(config), std::invalid_argument);
+  config.engine = SimEngine::kAuto;
+  config.backbone = BackboneMode::kCds22;
+  EXPECT_THROW((void)make_lifetime_engine(config), std::invalid_argument);
+
+  config.radio = RadioKind::kUnitDisk;  // plain Gabriel links stay fine
+  EXPECT_EQ(make_lifetime_engine(config)->name(), "cds22");
+  config.backbone = BackboneMode::kScheme;
+  config.engine = SimEngine::kFullRebuild;
+  EXPECT_EQ(make_lifetime_engine(config)->name(), "full-rebuild");
+}
+
 TEST(EngineSelectionTest, ForcedFullRebuildAlwaysWorks) {
   SimConfig config = base_config();
   config.engine = SimEngine::kFullRebuild;

@@ -94,10 +94,14 @@ TEST(IncrementalTest, BadDeltaThrows) {
   EXPECT_THROW(inc.apply_delta(missing), std::invalid_argument);
 }
 
-TEST(IncrementalTest, MoveNodeComputesDelta) {
+TEST(IncrementalTest, MovedHostAsExplicitDelta) {
   IncrementalCds inc(path_graph(5), RuleSet::kID);
-  // Host 0 "moves" next to hosts 3 and 4.
-  inc.move_node(0, {3, 4});
+  // Host 0 "moves" next to hosts 3 and 4: it loses 1 and gains 3 and 4.
+  EdgeDelta delta;
+  delta.removed.emplace_back(0, 1);
+  delta.added.emplace_back(0, 3);
+  delta.added.emplace_back(0, 4);
+  inc.apply_delta(delta);
   EXPECT_FALSE(inc.graph().has_edge(0, 1));
   EXPECT_TRUE(inc.graph().has_edge(0, 3));
   EXPECT_TRUE(inc.graph().has_edge(0, 4));
