@@ -27,7 +27,7 @@ int main() {
     Welford nbr, status, ratio;
     for (std::size_t trial = 0; trial < trials; ++trial) {
       OverheadConfig config;
-      config.mobility_params.stay_probability = c;
+      config.world.stay_probability = c;
       const MaintenanceOverhead r = measure_maintenance_overhead(
           config, derive_seed(0x0fead, trial));
       nbr.add(static_cast<double>(r.neighbor_msgs) /
@@ -53,7 +53,7 @@ int main() {
     Welford per_interval, ratio;
     for (std::size_t trial = 0; trial < trials; ++trial) {
       OverheadConfig config;
-      config.mobility_kind = kind;
+      config.world.mobility_kind = kind;
       const MaintenanceOverhead r = measure_maintenance_overhead(
           config, derive_seed(0x0feae, trial));
       per_interval.add(static_cast<double>(r.localized_total()) /

@@ -1,13 +1,14 @@
 #include "des/packet_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "des/event_queue.hpp"
-#include "energy/battery.hpp"
-#include "net/mobility.hpp"
-#include "net/udg.hpp"
+#include "net/rng.hpp"
 #include "routing/routing.hpp"
 
 namespace pacds::des {
@@ -22,108 +23,83 @@ struct Packet {
   int retries = 0;            ///< retransmissions of the current hop
 };
 
+/// derive_seed index of the traffic stream (injections and radio loss).
+constexpr std::uint64_t kTrafficStream = 1;
+
+/// The world's config with the step count derived from the DES clock.
+SimConfig world_config(const PacketSimConfig& config) {
+  if (config.world.n_hosts < 2 || config.sim_time <= 0.0 ||
+      config.injection_gap <= 0.0 || config.tx_time <= 0.0 ||
+      config.update_interval <= 0.0) {
+    throw std::invalid_argument("run_packet_sim: bad configuration");
+  }
+  SimConfig world = config.world;
+  world.max_intervals = world_steps(config);
+  return world;
+}
+
 /// The whole simulation state; event thunks call back into this.
 class Sim {
  public:
-  Sim(const PacketSimConfig& config, std::uint64_t seed)
+  Sim(const PacketSimConfig& config, std::uint64_t seed,
+      IntervalObserver* observer)
       : config_(config),
-        rng_(seed),
-        field_(Field::paper_field()),
-        mobility_(config.stay_probability, config.jump_min, config.jump_max),
-        queues_(static_cast<std::size_t>(config.n_hosts)),
-        busy_(static_cast<std::size_t>(config.n_hosts), 0) {
-    if (config.n_hosts < 2 || config.sim_time <= 0.0 ||
-        config.injection_gap <= 0.0 || config.tx_time <= 0.0 ||
-        config.update_interval <= 0.0) {
-      throw std::invalid_argument("run_packet_sim: bad configuration");
-    }
-    if (auto placed = random_connected_placement(config.n_hosts, field_,
-                                                 config.radius, rng_,
-                                                 config.connect_retries)) {
-      positions_ = std::move(placed->positions);
-    } else {
-      positions_ = random_placement(config.n_hosts, field_, rng_);
-    }
-    if (config.faults != nullptr && config.faults->has_lifetime_events()) {
-      validate_fault_plan(*config.faults, config.n_hosts);
-      batteries_.emplace(static_cast<std::size_t>(config.n_hosts), 100.0);
-      injector_.emplace(*config.faults, positions_.size(), field_.width(),
-                        config.radius);
-      apply_faults();  // the plan's interval 1 = the first backbone build
-    }
-    rebuild_backbone();
+        world_(world_config(config), seed, observer, config.faults),
+        traffic_rng_(derive_seed(seed, kTrafficStream)),
+        queues_(static_cast<std::size_t>(config.world.n_hosts)),
+        busy_(static_cast<std::size_t>(config.world.n_hosts), 0) {
+    step_world();  // the first backbone, before any packet is injected
   }
 
   PacketSimResult run() {
     for (SimTime t = 0.0; t < config_.sim_time; t += config_.injection_gap) {
       events_.schedule(t, [this] { inject(); });
     }
-    for (SimTime t = config_.update_interval; t < config_.sim_time;
-         t += config_.update_interval) {
-      events_.schedule(t, [this] { refresh_topology(); });
+    const long steps = world_.config().max_intervals;
+    for (long k = 1; k < steps; ++k) {
+      events_.schedule(static_cast<double>(k) * config_.update_interval,
+                       [this] { step_world(); });
     }
     events_.run_until(config_.sim_time);
 
     // Whatever is still queued or mid-flight never arrived.
     result_.drops.in_flight =
-        result_.injected - result_.delivered - result_.drops.no_route -
-        result_.drops.queue_full - result_.drops.route_break -
-        result_.drops.ttl - result_.drops.loss - result_.drops.crashed;
+        result_.injected - result_.delivered - result_.drops.total();
     result_.latency = Summary::of(latency_);
     result_.hops = Summary::of(hops_);
-    result_.avg_gateways =
-        backbone_samples_ == 0
-            ? 0.0
-            : gateway_sum_ / static_cast<double>(backbone_samples_);
+    const TrialResult world = world_.result();
+    result_.avg_gateways = world.avg_gateways;
+    result_.fault_events = world.faults.events;
     return result_;
   }
 
  private:
   [[nodiscard]] bool is_down(NodeId host) const {
-    return injector_ && injector_->down().test(static_cast<std::size_t>(host));
+    return world_.down().test(static_cast<std::size_t>(host));
   }
 
-  /// Applies the current interval's scheduled faults and drops whatever a
-  /// newly-down host was holding (its queue and service slot die with it).
-  void apply_faults() {
-    fault_scratch_.clear();
-    injector_->apply(interval_, positions_, *batteries_, fault_scratch_);
-    result_.fault_events += fault_scratch_.size();
-    if (!injector_->take_down_changed()) return;
+  /// Advances the world one interval (a no-op once it has finished) and
+  /// re-derives the routing state. A down host's queue and service slot die
+  /// with it.
+  void step_world() {
+    if (!world_.step()) return;
     for (std::size_t h = 0; h < queues_.size(); ++h) {
-      if (!injector_->down().test(h)) continue;
+      if (!is_down(static_cast<NodeId>(h))) continue;
       result_.drops.crashed += queues_[h].size();
       queues_[h].clear();
       busy_[h] = 0;
     }
-  }
-
-  void rebuild_backbone() {
-    const std::vector<Vec2>& radio_positions =
-        injector_ ? injector_->effective_positions(positions_) : positions_;
-    graph_ = build_udg(radio_positions, config_.radius);
-    const std::vector<double> uniform(
-        static_cast<std::size_t>(config_.n_hosts), 1.0);
-    cds_ = compute_cds(graph_, config_.rule_set, uniform,
-                       config_.cds_options);
-    router_.emplace(graph_, cds_.gateways);
-    gateway_sum_ += static_cast<double>(cds_.gateway_count);
-    ++backbone_samples_;
-  }
-
-  void refresh_topology() {
-    mobility_.step(positions_, field_, rng_);
-    ++interval_;
-    if (injector_) apply_faults();
-    rebuild_backbone();
+    router_.emplace(*world_.graph(), world_.gateways());
   }
 
   void inject() {
     ++result_.injected;
-    const auto n = static_cast<std::int64_t>(config_.n_hosts);
-    const auto src = static_cast<NodeId>(rng_.uniform_int(0, n - 1));
+    const auto n = static_cast<std::int64_t>(queues_.size());
+    const auto src = static_cast<NodeId>(traffic_rng_.uniform_int(0, n - 1));
     auto dst = src;
-    while (dst == src) dst = static_cast<NodeId>(rng_.uniform_int(0, n - 1));
+    while (dst == src) {
+      dst = static_cast<NodeId>(traffic_rng_.uniform_int(0, n - 1));
+    }
     if (is_down(src) || is_down(dst)) {
       // A crashed host neither sources nor sinks traffic. The draws above
       // keep the injection stream aligned with the fault-free run.
@@ -163,7 +139,7 @@ class Sim {
     Packet packet = std::move(queues_[hi].front());
     queues_[hi].pop_front();
     const NodeId next = packet.route[packet.at + 1];
-    if (!graph_.has_edge(host, next)) {
+    if (!world_.graph()->has_edge(host, next)) {
       // The next hop moved out of range since the route was computed.
       ++result_.drops.route_break;
       try_transmit(host);  // serve the next packet immediately
@@ -175,12 +151,12 @@ class Sim {
                        busy_[static_cast<std::size_t>(host)] = 0;
                        if (is_down(host)) {
                          // The sender crashed mid-service; the frame and the
-                         // rest of its queue died with it (see apply_faults).
+                         // rest of its queue died with it (see step_world).
                          ++result_.drops.crashed;
                          return;
                        }
                        if (config_.loss_probability > 0.0 &&
-                           rng_.bernoulli(config_.loss_probability)) {
+                           traffic_rng_.bernoulli(config_.loss_probability)) {
                          // Frame lost in the air: retransmit or give up.
                          if (p.retries < config_.max_retries) {
                            ++p.retries;
@@ -232,19 +208,9 @@ class Sim {
   }
 
   PacketSimConfig config_;
-  Xoshiro256 rng_;
-  Field field_;
-  PaperJumpMobility mobility_;
-  std::vector<Vec2> positions_;
-  Graph graph_;
-  CdsResult cds_;
+  LifetimeRun world_;
+  Xoshiro256 traffic_rng_;
   std::optional<DominatingSetRouter> router_;
-
-  /// Fault plumbing (engaged only when config.faults has lifetime events).
-  long interval_ = 1;  ///< 1-based backbone-build counter (plan intervals)
-  std::optional<FaultInjector> injector_;
-  std::optional<BatteryBank> batteries_;  ///< theft target (no drain here)
-  std::vector<FaultRecord> fault_scratch_;
 
   EventQueue events_;
   std::vector<std::deque<Packet>> queues_;
@@ -253,15 +219,18 @@ class Sim {
   PacketSimResult result_;
   Welford latency_;
   Welford hops_;
-  double gateway_sum_ = 0.0;
-  std::size_t backbone_samples_ = 0;
 };
 
 }  // namespace
 
+long world_steps(const PacketSimConfig& config) {
+  return static_cast<long>(std::ceil(config.sim_time / config.update_interval));
+}
+
 PacketSimResult run_packet_sim(const PacketSimConfig& config,
-                               std::uint64_t seed) {
-  Sim sim(config, seed);
+                               std::uint64_t seed,
+                               IntervalObserver* observer) {
+  Sim sim(config, seed, observer);
   return sim.run();
 }
 

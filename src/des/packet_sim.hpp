@@ -2,36 +2,39 @@
 // Discrete-event packet-level simulation of dominating-set routing with
 // queueing. Each host owns a FIFO transmit queue and serves one packet per
 // `tx_time`; packets follow source routes computed on the current backbone.
-// Every `update_interval` the hosts move, the unit-disk graph and gateway
-// set are recomputed, and in-flight packets whose next hop walked out of
-// range are dropped (route breakage). The experiment this enables: smaller
-// backbones concentrate forwarding on fewer hosts, so schemes trade
-// backbone size against queueing delay — a dimension the paper's interval
-// model cannot see.
+// The experiment this enables: smaller backbones concentrate forwarding on
+// fewer hosts, so schemes trade backbone size against queueing delay — a
+// dimension the paper's interval model cannot see.
+//
+// The world is a LifetimeRun over `PacketSimConfig::world`, stepped at t = 0
+// and then every `update_interval` (ceil(sim_time / update_interval) steps);
+// packets route on its link graph and gateway set, so every SimConfig
+// scenario axis applies. In-flight packets whose next hop walked out of
+// range after a step are dropped (route breakage). The world draws only from
+// its own stream (seeded with `seed`); injections and radio loss draw from
+// derive_seed(seed, 1), so traffic never perturbs the world, whose interval
+// stream equals run_lifetime_trial's for the same world, seed, plan and
+// step count.
+//
+// A world that finishes early (a draining world's first death, or a degraded
+// run down to at most one functioning host) leaves its last backbone up
+// until sim_time; in the degraded case every later injection has a down
+// endpoint and counts as `crashed`.
 
 #include <cstdint>
-#include <vector>
 
-#include "core/cds.hpp"
-#include "net/space.hpp"
-#include "net/topology.hpp"
-#include "sim/faults.hpp"
+#include "sim/lifetime.hpp"
 #include "sim/stats.hpp"
 
 namespace pacds::des {
 
 struct PacketSimConfig {
-  int n_hosts = 40;
-  double radius = kPaperRadius;
-
-  pacds::RuleSet rule_set = RuleSet::kND;
-  CdsOptions cds_options{};
+  /// The world the packets travel through (no battery drain by default);
+  /// its max_intervals is derived from the DES clock and ignored here.
+  SimConfig world = zero_drain_world(40);
 
   double sim_time = 400.0;         ///< total simulated time
-  double update_interval = 20.0;   ///< mobility + backbone refresh period
-  double stay_probability = 0.5;   ///< paper mobility inside each refresh
-  int jump_min = 1;
-  int jump_max = 6;
+  double update_interval = 20.0;   ///< world step (mobility + backbone) period
 
   double injection_gap = 0.5;      ///< one new packet every gap
   double tx_time = 1.0;            ///< service time per hop
@@ -43,16 +46,11 @@ struct PacketSimConfig {
   double loss_probability = 0.0;
   int max_retries = 3;
 
-  int connect_retries = 500;
-
-  /// Optional fault plan (borrowed; must outlive the run). Crash/recover,
-  /// theft and blackout events apply at backbone-refresh boundaries — the
-  /// plan's interval t maps to the t-th backbone build. Down hosts leave
-  /// the radio graph, their queued and in-flight packets are dropped as
-  /// `crashed`, and they neither source nor sink new traffic. The plan
-  /// consumes no randomness, so the mobility/injection/loss streams match
-  /// the fault-free run of the same seed. Thefts only kill a host here when
-  /// `amount` >= 100 (the DES models no battery drain).
+  /// Optional fault plan (borrowed; must outlive the run) for the world's
+  /// LifetimeRun: plan interval t is the t-th world step. Down hosts leave
+  /// the link graph, lose their queued and in-flight packets as `crashed`,
+  /// and neither source nor sink new traffic. A theft kills when it takes
+  /// the whole battery (initial_energy, 100 by default).
   const FaultPlan* faults = nullptr;
 };
 
@@ -79,8 +77,8 @@ struct PacketSimResult {
   Summary latency;          ///< end-to-end delay of delivered packets
   Summary hops;             ///< path length of delivered packets
   double max_queue = 0.0;   ///< deepest FIFO observed (congestion)
-  double avg_gateways = 0.0;
-  std::size_t fault_events = 0;  ///< injected fault events (0 without a plan)
+  double avg_gateways = 0.0;  ///< the world's mean |G'| per step
+  std::size_t fault_events = 0;  ///< applied plan events (0 without a plan)
 
   [[nodiscard]] double delivery_ratio() const {
     return injected == 0
@@ -90,8 +88,14 @@ struct PacketSimResult {
   }
 };
 
+/// The number of world steps a run takes: ceil(sim_time / update_interval).
+[[nodiscard]] long world_steps(const PacketSimConfig& config);
+
 /// Runs one packet-level simulation, fully determined by (config, seed).
-[[nodiscard]] PacketSimResult run_packet_sim(const PacketSimConfig& config,
-                                             std::uint64_t seed);
+/// `observer`, when non-null, is handed to the world's LifetimeRun and sees
+/// its interval (and fault) records exactly as run_lifetime_trial would.
+[[nodiscard]] PacketSimResult run_packet_sim(
+    const PacketSimConfig& config, std::uint64_t seed,
+    IntervalObserver* observer = nullptr);
 
 }  // namespace pacds::des

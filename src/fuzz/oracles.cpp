@@ -16,6 +16,7 @@
 #include "core/cds.hpp"
 #include "core/simd.hpp"
 #include "core/verify.hpp"
+#include "des/packet_sim.hpp"
 #include "dist/protocol.hpp"
 #include "energy/traffic.hpp"
 #include "io/json.hpp"
@@ -28,6 +29,7 @@
 #include "serve/server.hpp"
 #include "sim/config_json.hpp"
 #include "sim/engine.hpp"
+#include "sim/metrics_io.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/tiled_engine.hpp"
 #include "sim/trace.hpp"
@@ -771,6 +773,76 @@ void check_manifest_replay(const FuzzScenario& s, const OracleOptions& opts,
   if (!diff.empty()) fail("replayed manifest diverges at " + diff);
 }
 
+/// Forwards a run's records; under the des-world mutation every interval
+/// record from the third on reports one more gateway. That is what a DES
+/// drawing its injections from the world stream shows: the first step's
+/// mobility precedes any injection, the second step's follows the first
+/// burst, so the third interval's topology is the first to diverge.
+class DesWorldObserver final : public IntervalObserver {
+ public:
+  DesWorldObserver(IntervalObserver& inner, bool mutate)
+      : inner_(&inner), mutate_(mutate) {}
+
+  void on_interval(const IntervalRecord& record) override {
+    if (!mutate_ || record.interval < 3) {
+      inner_->on_interval(record);
+      return;
+    }
+    IntervalRecord diverged = record;
+    ++diverged.gateways;
+    inner_->on_interval(diverged);
+  }
+  void on_fault(const FaultRecord& record) override {
+    inner_->on_fault(record);
+  }
+
+ private:
+  IntervalObserver* inner_;
+  bool mutate_;
+};
+
+void check_des_world(const FuzzScenario& s, const OracleOptions& opts,
+                     std::vector<OracleFailure>& failures) {
+  if (s.config.n_hosts < 2) return;
+  // Traffic knobs drawn from the scenario's own seed: the world stream must
+  // not depend on the injection rate, the radio loss or the queueing.
+  Xoshiro256 rng(derive_seed(s.trial_seed, 0xde5U));
+  des::PacketSimConfig des;
+  des.world = s.config;
+  des.update_interval = rng.uniform(0.5, 4.0);
+  des.sim_time = 25.0 * des.update_interval;  // reaches every plan event
+  des.injection_gap = rng.uniform(0.05, 2.0);
+  des.tx_time = rng.uniform(0.2, 2.0);
+  des.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 16));
+  des.loss_probability = rng.bernoulli(0.5) ? rng.uniform(0.0, 0.6) : 0.0;
+  des.max_retries = static_cast<int>(rng.uniform_int(0, 3));
+  const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
+  des.faults = plan;
+
+  SimConfig world = s.config;
+  world.max_intervals = des::world_steps(des);
+  std::ostringstream lifetime;
+  {
+    obs::JsonlSink sink(lifetime);
+    JsonlIntervalObserver observer(sink, world, 0);
+    (void)run_lifetime_trial(world, s.trial_seed, &observer, plan);
+  }
+  std::ostringstream packets;
+  {
+    obs::JsonlSink sink(packets);
+    JsonlIntervalObserver observer(sink, world, 0);
+    DesWorldObserver forward(observer, opts.mutation == kMutateDesWorld);
+    (void)des::run_packet_sim(des, s.trial_seed, &forward);
+  }
+  const std::string diff =
+      first_divergence("des", canonical_stream(packets.str()), "lifetime",
+                       canonical_stream(lifetime.str()));
+  if (!diff.empty()) {
+    failures.push_back({"des-world", "the DES's world stream diverges at " +
+                                         diff + " [" + describe(s) + "]"});
+  }
+}
+
 }  // namespace
 
 std::vector<OracleFailure> run_oracles(const FuzzScenario& scenario,
@@ -789,6 +861,7 @@ std::vector<OracleFailure> run_oracles(const FuzzScenario& scenario,
   check_simd_identity(scenario, options, failures);
   check_serve_identity(scenario, options, failures);
   check_manifest_replay(scenario, options, failures);
+  check_des_world(scenario, options, failures);
   return failures;
 }
 

@@ -55,6 +55,14 @@
 //                         interval and fault_event records, wall-clock
 //                         fields aside. Catches any SimConfig field the
 //                         manifest's config object drops or garbles.
+//   des-world           — the packet DES's world (its LifetimeRun, observed
+//                         through run_packet_sim's observer) emits the same
+//                         interval and fault_event stream as
+//                         run_lifetime_trial for the same SimConfig, seed,
+//                         fault plan and interval count, `*_ns` aside, at
+//                         whatever injection rate, loss and queueing the
+//                         oracle draws: traffic never touches the world
+//                         stream.
 //
 // Oracles that need preconditions (a connected snapshot, engine
 // eligibility, threads > 1, ...) skip silently when the scenario is outside
@@ -90,6 +98,7 @@ inline constexpr int kMutateSimdIdentity = 9;
 inline constexpr int kMutateServeIdentity = 10;
 inline constexpr int kMutateGapBound = 11;
 inline constexpr int kMutateManifestReplay = 12;
+inline constexpr int kMutateDesWorld = 13;
 
 struct OracleOptions {
   int mutation = kMutateNone;

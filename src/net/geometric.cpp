@@ -1,5 +1,6 @@
 #include "net/geometric.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "net/udg.hpp"
@@ -8,14 +9,25 @@ namespace pacds {
 
 namespace {
 
-/// Shared scaffold: keep each UDG edge iff `keep(u, v)` holds.
-template <typename Predicate>
+/// Shared scaffold: keep each UDG edge u-v unless some third host w is a
+/// `witness(pw, pu, pv)` against it. Both models' witnesses lie strictly
+/// closer than |uv| <= radius to u and to v, so they are UDG neighbours of
+/// both endpoints: scanning the shorter of the two rows finds every one.
+template <typename Witness>
 Graph filter_udg(const std::vector<Vec2>& positions, double radius,
-                 Predicate&& keep) {
+                 Witness&& witness) {
   const Graph udg = build_udg(positions, radius);
   Graph g(udg.num_nodes());
   for (const auto& [u, v] : udg.edges()) {
-    if (keep(u, v)) g.add_edge(u, v);
+    const Vec2 pu = positions[static_cast<std::size_t>(u)];
+    const Vec2 pv = positions[static_cast<std::size_t>(v)];
+    const auto row =
+        udg.degree(u) <= udg.degree(v) ? udg.neighbors(u) : udg.neighbors(v);
+    const bool blocked = std::any_of(row.begin(), row.end(), [&](NodeId w) {
+      return w != u && w != v &&
+             witness(positions[static_cast<std::size_t>(w)], pu, pv);
+    });
+    if (!blocked) g.add_edge(u, v);
   }
   return g;
 }
@@ -26,19 +38,9 @@ Graph build_gabriel(const std::vector<Vec2>& positions, double radius) {
   if (radius < 0.0) {
     throw std::invalid_argument("build_gabriel: negative radius");
   }
-  return filter_udg(positions, radius, [&positions](NodeId u, NodeId v) {
-    const Vec2 pu = positions[static_cast<std::size_t>(u)];
-    const Vec2 pv = positions[static_cast<std::size_t>(v)];
-    const Vec2 mid = (pu + pv) * 0.5;
-    const double r2 = distance2(pu, pv) / 4.0;  // (|uv|/2)^2
-    for (std::size_t w = 0; w < positions.size(); ++w) {
-      if (w == static_cast<std::size_t>(u) ||
-          w == static_cast<std::size_t>(v)) {
-        continue;
-      }
-      if (distance2(positions[w], mid) < r2) return false;
-    }
-    return true;
+  // w lies strictly inside the disk with diameter uv.
+  return filter_udg(positions, radius, [](Vec2 pw, Vec2 pu, Vec2 pv) {
+    return distance2(pw, (pu + pv) * 0.5) < distance2(pu, pv) / 4.0;
   });
 }
 
@@ -46,21 +48,10 @@ Graph build_rng_graph(const std::vector<Vec2>& positions, double radius) {
   if (radius < 0.0) {
     throw std::invalid_argument("build_rng_graph: negative radius");
   }
-  return filter_udg(positions, radius, [&positions](NodeId u, NodeId v) {
-    const Vec2 pu = positions[static_cast<std::size_t>(u)];
-    const Vec2 pv = positions[static_cast<std::size_t>(v)];
+  // w sits in the lune: closer than |uv| to both endpoints.
+  return filter_udg(positions, radius, [](Vec2 pw, Vec2 pu, Vec2 pv) {
     const double d2 = distance2(pu, pv);
-    for (std::size_t w = 0; w < positions.size(); ++w) {
-      if (w == static_cast<std::size_t>(u) ||
-          w == static_cast<std::size_t>(v)) {
-        continue;
-      }
-      if (distance2(positions[w], pu) < d2 &&
-          distance2(positions[w], pv) < d2) {
-        return false;  // w sits in the lune
-      }
-    }
-    return true;
+    return distance2(pw, pu) < d2 && distance2(pw, pv) < d2;
   });
 }
 

@@ -73,6 +73,8 @@ LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
     injector_.emplace(fault_plan_, batteries_.size(), config_.field_width,
                       config_.radius);
     health_scratch_ = DynBitset(batteries_.size());
+  } else {
+    none_down_ = DynBitset(batteries_.size());
   }
 }
 
@@ -275,6 +277,16 @@ bool LifetimeRun::step() {
   return true;
 }
 
+const Graph* LifetimeRun::graph() const { return engine_->graph(); }
+
+const DynBitset& LifetimeRun::gateways() const {
+  return faulted_ ? health_scratch_ : engine_->gateways();
+}
+
+const DynBitset& LifetimeRun::down() const {
+  return faulted_ ? injector_->down() : none_down_;
+}
+
 TrialResult LifetimeRun::result() const {
   TrialResult out = result_;
   out.hit_cap = !attrition_stop_ && out.intervals >= config_.max_intervals;
@@ -290,6 +302,16 @@ TrialResult LifetimeRun::result() const {
   out.avg_marked = marked;
   out.avg_cds_churn = churn;
   return out;
+}
+
+SimConfig zero_drain_world(int n_hosts) {
+  SimConfig world;
+  world.n_hosts = n_hosts;
+  world.rule_set = RuleSet::kND;
+  world.drain_model = DrainModel::kConstantTotal;
+  world.drain_params.constant_base = 0.0;
+  world.drain_params.nongateway_drain = 0.0;
+  return world;
 }
 
 TrialResult run_lifetime_trial(const SimConfig& config, std::uint64_t seed,

@@ -247,6 +247,15 @@ class LifetimeRun {
 
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
+  // The world as the last step() left it, for workloads that observe the run
+  // (overhead tally, packet DES); each view is valid until the next step().
+  /// Link graph of the last step (down hosts isolated); null before one.
+  [[nodiscard]] const Graph* graph() const;
+  /// Gateways the last step drained by (engine set minus down hosts).
+  [[nodiscard]] const DynBitset& gateways() const;
+  /// Hosts down in degraded mode; all clear without a fault plan.
+  [[nodiscard]] const DynBitset& down() const;
+
  private:
   SimConfig config_;
   Xoshiro256 rng_;
@@ -264,6 +273,7 @@ class LifetimeRun {
   std::optional<FaultInjector> injector_;
   std::vector<FaultRecord> fault_events_;
   DynBitset health_scratch_;
+  DynBitset none_down_;  ///< down() of a fault-free run
 
   double gateway_sum_ = 0.0;
   double marked_sum_ = 0.0;
@@ -273,6 +283,11 @@ class LifetimeRun {
   bool have_prev_gateways_ = false;
   bool attrition_stop_ = false;
 };
+
+/// The workloads' default world: ND over batteries that never drain
+/// (constant model, zero numerator, d' = 0), so EL keys stay uniform and
+/// only max_intervals or degraded-mode attrition ends the run.
+[[nodiscard]] SimConfig zero_drain_world(int n_hosts);
 
 /// Runs one trial, fully determined by (config, seed). When `observer` is
 /// non-null, one IntervalRecord per update interval is published (snapshots

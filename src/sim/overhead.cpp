@@ -2,68 +2,46 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
-
-#include "net/udg.hpp"
 
 namespace pacds {
 
 MaintenanceOverhead measure_maintenance_overhead(const OverheadConfig& config,
                                                  std::uint64_t seed) {
-  if (config.n_hosts < 1 || config.intervals < 0) {
+  if (config.intervals < 0) {
     throw std::invalid_argument("measure_maintenance_overhead: bad config");
   }
-  Xoshiro256 rng(seed);
-  const Field field = Field::paper_field();
+  SimConfig world = config.world;
+  world.max_intervals = static_cast<long>(config.intervals) + 1;
+  LifetimeRun run(world, seed);
+  run.step();  // setup: every host broadcasts its neighbor list, then status
 
-  std::vector<Vec2> positions;
-  if (auto placed = random_connected_placement(
-          config.n_hosts, field, config.radius, rng, config.connect_retries)) {
-    positions = std::move(placed->positions);
-  } else {
-    positions = random_placement(config.n_hosts, field, rng);
-  }
-  const auto n = static_cast<std::size_t>(config.n_hosts);
-
-  // No energy model here: the EL schemes see uniform levels (their keys
-  // then degenerate to the corresponding static tie-break chains).
-  const std::vector<double> uniform(n, 1.0);
-  Graph current = build_udg(positions, config.radius);
-  CdsResult cds = compute_cds(current, config.rule_set, uniform);
-
+  const auto n = static_cast<std::size_t>(world.n_hosts);
   MaintenanceOverhead result;
-  // Setup: every host broadcasts its neighbor list, then its status.
   result.setup_msgs = 2 * n;
 
-  const auto mobility =
-      make_mobility(config.mobility_kind, config.mobility_params);
-  for (int interval = 0; interval < config.intervals; ++interval) {
-    mobility->step(positions, field, rng);
-    const Graph next = build_udg(positions, config.radius);
-
+  Graph prev_graph = *run.graph();
+  DynBitset prev_gateways = run.gateways();
+  DynBitset flips;
+  while (run.step()) {
     // Hosts whose adjacency changed re-broadcast their neighbor list.
-    std::size_t changed_hosts = 0;
-    for (NodeId v = 0; v < next.num_nodes(); ++v) {
-      const auto vs = current.neighbors(v);
-      const auto ns = next.neighbors(v);
-      if (!std::equal(vs.begin(), vs.end(), ns.begin(), ns.end())) {
-        ++changed_hosts;
+    const Graph& graph = *run.graph();
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      const auto before = prev_graph.neighbors(v);
+      const auto after = graph.neighbors(v);
+      if (!std::equal(before.begin(), before.end(), after.begin(),
+                      after.end())) {
+        ++result.neighbor_msgs;
       }
     }
-    result.neighbor_msgs += changed_hosts;
-
     // Status flips after the (localized) recomputation.
-    const CdsResult next_cds = compute_cds(next, config.rule_set, uniform);
-    std::size_t flips = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cds.gateways.test(i) != next_cds.gateways.test(i)) ++flips;
-    }
-    result.status_msgs += flips;
+    flips = run.gateways();
+    flips ^= prev_gateways;
+    result.status_msgs += flips.count();
 
     result.global_msgs += 2 * n;  // naive baseline: full re-flood
     ++result.intervals;
-    current = next;
-    cds = next_cds;
+    prev_graph = graph;
+    prev_gateways = run.gateways();
   }
   return result;
 }

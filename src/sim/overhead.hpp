@@ -11,23 +11,25 @@
 //
 // and compares against a naive global baseline where every host re-floods
 // both messages every update interval (2n per interval).
+//
+// The tally observes a LifetimeRun: it adds no world of its own, so every
+// scenario axis of SimConfig (radio, 3-D field, SEL, engine, threads, ...)
+// applies. Step 1 of the run is the setup computation; each later step is
+// one update interval, compared against the step before it.
 
 #include <cstdint>
 
-#include "core/cds.hpp"
-#include "net/mobility.hpp"
-#include "net/topology.hpp"
+#include "sim/lifetime.hpp"
 
 namespace pacds {
 
 struct OverheadConfig {
-  int n_hosts = 50;
-  double radius = kPaperRadius;
-  int intervals = 50;
-  RuleSet rule_set = RuleSet::kND;
-  MobilityKind mobility_kind = MobilityKind::kPaperJump;
-  MobilityParams mobility_params{};
-  int connect_retries = 500;
+  /// The observed world. Defaults to zero_drain_world: no energy model, so
+  /// the EL schemes see uniform levels (their keys then degenerate to the
+  /// corresponding static tie-break chains). max_intervals is derived from
+  /// `intervals` and ignored here.
+  SimConfig world = zero_drain_world(50);
+  int intervals = 50;  ///< update intervals after the setup computation
 };
 
 struct MaintenanceOverhead {
@@ -50,9 +52,10 @@ struct MaintenanceOverhead {
   }
 };
 
-/// Simulates `config.intervals` update intervals of host mobility (no
-/// energy model) and tallies maintenance messages. Deterministic in
-/// (config, seed).
+/// Runs `config.intervals` update intervals of `config.world` after the
+/// setup computation and tallies maintenance messages. `intervals` in the
+/// result is fewer than requested only when the world itself ends early (a
+/// draining world's first death). Deterministic in (config, seed).
 [[nodiscard]] MaintenanceOverhead measure_maintenance_overhead(
     const OverheadConfig& config, std::uint64_t seed);
 

@@ -21,6 +21,8 @@
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
+#include "sim/lifetime.hpp"
 
 namespace pacds::fuzz {
 namespace {
@@ -57,6 +59,14 @@ bool fails_oracle(const FuzzScenario& s, int mutation,
     if (f.oracle == oracle) return true;
   }
   return false;
+}
+
+/// des-world's mutation shows from the third interval on, so its domain is
+/// a world that is still running then.
+bool des_world_reaches_third_interval(const FuzzScenario& s) {
+  const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
+  return run_lifetime_trial(s.config, s.trial_seed, nullptr, plan).intervals >=
+         3;
 }
 
 // ---- scenario generation and corpus format --------------------------------
@@ -201,6 +211,7 @@ TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
        [](const FuzzScenario&) { return true; }},
       {kMutateManifestReplay, "manifest-replay",
        [](const FuzzScenario&) { return true; }},
+      {kMutateDesWorld, "des-world", des_world_reaches_third_interval},
       // gap-bound's mutation is caught unconditionally by the bitmask
       // differential, which needs the exhaustive solver's n <= 20 domain
       // and a scenario dense enough that the connected snapshot the oracle
@@ -280,6 +291,27 @@ TEST(FuzzShrinkTest, ManifestReplayFailureShrinksToTheFloor) {
   EXPECT_GT(shrunk.steps_kept, 0u);
   EXPECT_TRUE(fails_oracle(shrunk.scenario, kMutateManifestReplay,
                            "manifest-replay"));
+}
+
+TEST(FuzzShrinkTest, DesWorldFailureShrinks) {
+  // A DES whose traffic advanced the world stream (the mutation stands in
+  // for one drawing injections from it) is caught on a larger instance and
+  // shrunk to a smaller one that still fails the same oracle.
+  const std::int64_t index = find_scenario(1, [](const FuzzScenario& s) {
+    return s.config.n_hosts > 8 && des_world_reaches_third_interval(s);
+  });
+  ASSERT_GE(index, 0);
+  const FuzzScenario original =
+      random_scenario(1, static_cast<std::uint64_t>(index));
+  const ShrinkResult shrunk =
+      shrink_scenario(original, "des-world", OracleOptions{kMutateDesWorld});
+  EXPECT_EQ(shrunk.oracle, "des-world");
+  EXPECT_NE(shrunk.detail.find("world stream diverges"), std::string::npos)
+      << shrunk.detail;
+  EXPECT_LT(shrunk.scenario.config.n_hosts, original.config.n_hosts);
+  EXPECT_GT(shrunk.steps_kept, 0u);
+  EXPECT_TRUE(
+      fails_oracle(shrunk.scenario, kMutateDesWorld, "des-world"));
 }
 
 TEST(FuzzShrinkTest, RejectsTransformsThatLoseTheFailure) {

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/cds.hpp"
 #include "core/verify.hpp"
 #include "net/rng.hpp"
+#include "net/space.hpp"
 #include "net/topology.hpp"
+#include "net/udg.hpp"
 
 namespace pacds {
 namespace {
@@ -48,6 +53,63 @@ TEST(GeometricTest, LuneBlockerCutsRngEdgeButNotGabriel) {
   const std::vector<Vec2> pts{{0.0, 0.0}, {10.0, 0.0}, {5.0, 6.0}};
   EXPECT_TRUE(build_gabriel(pts, 25.0).has_edge(0, 1));
   EXPECT_FALSE(build_rng_graph(pts, 25.0).has_edge(0, 1));
+}
+
+/// The definition, checked against every host: u-v survives iff no third
+/// host is a witness (`gabriel`: strictly inside the diametral disk;
+/// otherwise strictly inside the lune).
+Graph all_hosts_reference(const std::vector<Vec2>& pts, double radius,
+                          bool gabriel) {
+  const Graph udg = build_udg(pts, radius);
+  Graph g(udg.num_nodes());
+  for (const auto& [u, v] : udg.edges()) {
+    const Vec2 pu = pts[static_cast<std::size_t>(u)];
+    const Vec2 pv = pts[static_cast<std::size_t>(v)];
+    const double d2 = distance2(pu, pv);
+    bool blocked = false;
+    for (std::size_t w = 0; w < pts.size() && !blocked; ++w) {
+      if (w == static_cast<std::size_t>(u) ||
+          w == static_cast<std::size_t>(v)) {
+        continue;
+      }
+      const Vec2 pw = pts[w];
+      blocked = gabriel ? distance2(pw, (pu + pv) * 0.5) < d2 / 4.0
+                        : distance2(pw, pu) < d2 && distance2(pw, pv) < d2;
+    }
+    if (!blocked) g.add_edge(u, v);
+  }
+  return g;
+}
+
+TEST(GeometricTest, NeighbourWitnessScanMatchesAllHostsReference) {
+  // build_gabriel and build_rng_graph only look for witnesses among UDG
+  // neighbours; their edge sets must equal the all-hosts definition on
+  // planar and 3-D fields, at two radii, with coincident points mixed in.
+  for (const double depth : {0.0, 60.0}) {
+    const Field field(100.0, 100.0, depth, BoundaryPolicy::kClamp);
+    for (const int n : {10, 50, 200}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        Xoshiro256 rng(seed);
+        std::vector<Vec2> pts = random_placement(n, field, rng);
+        for (std::size_t i = 0; i + 3 < pts.size(); i += 4) {
+          pts[i + 1] = pts[i];  // every fourth pair coincides
+        }
+        for (const double radius : {25.0, 40.0}) {
+          const auto label = [&] {
+            return "depth " + std::to_string(depth) + " n " +
+                   std::to_string(n) + " seed " + std::to_string(seed) +
+                   " radius " + std::to_string(radius);
+          };
+          EXPECT_EQ(build_gabriel(pts, radius).edges(),
+                    all_hosts_reference(pts, radius, /*gabriel=*/true).edges())
+              << "gabriel, " << label();
+          EXPECT_EQ(build_rng_graph(pts, radius).edges(),
+                    all_hosts_reference(pts, radius, /*gabriel=*/false).edges())
+              << "rng, " << label();
+        }
+      }
+    }
+  }
 }
 
 class GeometricPropertyTest

@@ -11,7 +11,7 @@ namespace {
 
 OverheadConfig base_config() {
   OverheadConfig config;
-  config.n_hosts = 30;
+  config.world.n_hosts = 30;
   config.intervals = 20;
   return config;
 }
@@ -32,7 +32,7 @@ TEST(OverheadTest, GlobalBaselineIsTwoNPerInterval) {
 
 TEST(OverheadTest, StaticHostsSendNothingAfterSetup) {
   OverheadConfig config = base_config();
-  config.mobility_kind = MobilityKind::kStatic;
+  config.world.mobility_kind = MobilityKind::kStatic;
   const MaintenanceOverhead r = measure_maintenance_overhead(config, 6);
   EXPECT_EQ(r.neighbor_msgs, 0u);
   EXPECT_EQ(r.status_msgs, 0u);
@@ -47,9 +47,9 @@ TEST(OverheadTest, LocalizedBeatsGlobalUnderPaperMobility) {
 
 TEST(OverheadTest, SlowerMobilityFewerMessages) {
   OverheadConfig config = base_config();
-  config.mobility_params.stay_probability = 0.95;  // rarely move
+  config.world.stay_probability = 0.95;  // rarely move
   const MaintenanceOverhead slow = measure_maintenance_overhead(config, 8);
-  config.mobility_params.stay_probability = 0.0;  // always move
+  config.world.stay_probability = 0.0;  // always move
   const MaintenanceOverhead fast = measure_maintenance_overhead(config, 8);
   EXPECT_LT(slow.localized_total(), fast.localized_total());
 }
@@ -65,7 +65,7 @@ TEST(OverheadTest, ZeroIntervals) {
 
 TEST(OverheadTest, BadConfigThrows) {
   OverheadConfig config = base_config();
-  config.n_hosts = 0;
+  config.world.n_hosts = 0;
   EXPECT_THROW((void)measure_maintenance_overhead(config, 1),
                std::invalid_argument);
   config = base_config();
@@ -77,7 +77,7 @@ TEST(OverheadTest, BadConfigThrows) {
 TEST(OverheadTest, AllRuleSetsWork) {
   for (const RuleSet rs : kAllRuleSets) {
     OverheadConfig config = base_config();
-    config.rule_set = rs;
+    config.world.rule_set = rs;
     config.intervals = 5;
     const MaintenanceOverhead r = measure_maintenance_overhead(config, 10);
     EXPECT_EQ(r.intervals, 5u) << to_string(rs);

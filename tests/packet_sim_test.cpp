@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
+
+#include "sim/faults.hpp"
+#include "sim/trace.hpp"
 
 namespace pacds::des {
 namespace {
 
 PacketSimConfig small_config() {
   PacketSimConfig config;
-  config.n_hosts = 25;
+  config.world.n_hosts = 25;
   config.sim_time = 120.0;
   return config;
 }
@@ -65,7 +69,7 @@ TEST(PacketSimTest, TinyQueuesDropMore) {
 
 TEST(PacketSimTest, FrozenNetworkNeverBreaksRoutes) {
   PacketSimConfig config = small_config();
-  config.stay_probability = 1.0;  // nobody moves
+  config.world.stay_probability = 1.0;  // nobody moves
   const PacketSimResult r = run_packet_sim(config, 16);
   EXPECT_EQ(r.drops.route_break, 0u);
   EXPECT_EQ(r.drops.no_route, 0u);  // started connected, stays connected
@@ -84,7 +88,7 @@ TEST(PacketSimTest, AllSchemesRun) {
   for (const RuleSet rs : kAllRuleSets) {
     PacketSimConfig config = small_config();
     config.sim_time = 60.0;
-    config.rule_set = rs;
+    config.world.rule_set = rs;
     const PacketSimResult r = run_packet_sim(config, 18);
     EXPECT_GT(r.delivered, 0u) << to_string(rs);
     EXPECT_GT(r.avg_gateways, 0.0) << to_string(rs);
@@ -93,7 +97,7 @@ TEST(PacketSimTest, AllSchemesRun) {
 
 TEST(PacketSimTest, BadConfigThrows) {
   PacketSimConfig config = small_config();
-  config.n_hosts = 1;
+  config.world.n_hosts = 1;
   EXPECT_THROW((void)run_packet_sim(config, 1), std::invalid_argument);
   config = small_config();
   config.injection_gap = 0.0;
@@ -134,7 +138,86 @@ TEST(PacketSimTest, TtlCapsPathLength) {
   const PacketSimResult r = run_packet_sim(config, 19);
   EXPECT_GT(r.drops.ttl, 0u);
   // Delivered packets are exactly the single-hop ones.
-  if (r.delivered > 0) EXPECT_DOUBLE_EQ(r.hops.max, 1.0);
+  if (r.delivered > 0) {
+    EXPECT_DOUBLE_EQ(r.hops.max, 1.0);
+  }
+}
+
+// ---- faults through the world's LifetimeRun --------------------------------
+
+TEST(PacketSimFaultTest, CrashPlanDropsAsCrashedAndBalances) {
+  FaultPlan plan;
+  for (int node = 0; node < 5; ++node) {
+    plan.crashes.push_back({node, /*at=*/2, /*recover_at=*/4});
+  }
+  PacketSimConfig config = small_config();
+  config.faults = &plan;
+  const PacketSimResult r = run_packet_sim(config, 31);
+  EXPECT_GT(r.drops.crashed, 0u);
+  EXPECT_EQ(r.injected, r.delivered + r.drops.total());
+  EXPECT_EQ(r.fault_events, 10u);  // five crashes, five recoveries
+
+  // The plan consumes no randomness: the fault-free twin injects the same
+  // packets and loses none to crashes.
+  PacketSimConfig bare = small_config();
+  const PacketSimResult twin = run_packet_sim(bare, 31);
+  EXPECT_EQ(twin.injected, r.injected);
+  EXPECT_EQ(twin.drops.crashed, 0u);
+  EXPECT_EQ(twin.fault_events, 0u);
+}
+
+TEST(PacketSimFaultTest, DownHostsQueuesArePurged) {
+  // Heavy load builds queues, then a blackout over the whole field takes
+  // every host down at the second world step (t = update_interval). With
+  // nobody left to serve or receive, nothing may still sit in a queue at
+  // the end: every packet held at the crash was purged as `crashed`.
+  FaultPlan plan;
+  plan.blackouts.push_back({0.0, 0.0, 100.0, 100.0, /*at=*/2, /*until=*/0});
+  PacketSimConfig config = small_config();
+  config.injection_gap = 0.1;
+  config.faults = &plan;
+  const PacketSimResult r = run_packet_sim(config, 32);
+  EXPECT_EQ(r.drops.in_flight, 0u);
+  EXPECT_EQ(r.injected, r.delivered + r.drops.total());
+
+  // Injections at or after the blackout count as crashed on their own; the
+  // purge adds the packets that were queued or in service at t = 20.
+  std::size_t before_blackout = 0;
+  for (double t = 0.0; t <= config.update_interval; t += config.injection_gap) {
+    ++before_blackout;
+  }
+  EXPECT_GT(r.drops.crashed, r.injected - before_blackout);
+}
+
+TEST(PacketSimFaultTest, TheftOfTheWholeBatteryKillsItsHost) {
+  // The world's batteries never drain, so a theft kills exactly when it
+  // takes all of initial_energy (100): the host then goes down for good.
+  const auto run_with_theft = [](double amount, SimTrace& trace) {
+    FaultPlan plan;
+    plan.thefts.push_back({/*node=*/0, /*at=*/2, amount});
+    PacketSimConfig config = small_config();
+    config.faults = &plan;
+    return run_packet_sim(config, 33, &trace);
+  };
+  const auto deaths = [](const SimTrace& trace) {
+    std::size_t count = 0;
+    for (const FaultRecord& record : trace.fault_records) {
+      if (record.kind == FaultKind::kDeath && record.node == 0) ++count;
+    }
+    return count;
+  };
+
+  SimTrace killed;
+  const PacketSimResult a = run_with_theft(100.0, killed);
+  EXPECT_EQ(deaths(killed), 1u);
+  EXPECT_GT(a.drops.crashed, 0u);  // host 0 neither sources nor sinks
+  EXPECT_EQ(a.injected, a.delivered + a.drops.total());
+
+  SimTrace survived;
+  const PacketSimResult b = run_with_theft(99.0, survived);
+  EXPECT_EQ(deaths(survived), 0u);
+  EXPECT_EQ(b.drops.crashed, 0u);
+  EXPECT_EQ(b.fault_events, 1u);
 }
 
 }  // namespace
