@@ -17,7 +17,7 @@ namespace {
 
 using namespace pacds;
 
-void run_block(const char* label, const ChurnModel& churn,
+void run_block(const char* label, const FaultPlan& plan,
                std::size_t trials) {
   std::cout << label << "\n";
   for (const int n : {30, 60}) {
@@ -28,16 +28,17 @@ void run_block(const char* label, const ChurnModel& churn,
       Welford life, delivery, spread, gateways;
       for (std::size_t trial = 0; trial < trials; ++trial) {
         TrafficSimConfig config;
-        config.n_hosts = n;
-        config.rule_set = rs;
-        config.churn = churn;
+        config.world.n_hosts = n;
+        config.world.initial_energy = 200.0;
+        config.world.rule_set = rs;
         const TrafficSimResult r = run_traffic_trial(
-            config, derive_seed(0x7af1c, trial * 613 +
-                                            static_cast<std::uint64_t>(n)));
-        life.add(static_cast<double>(r.intervals));
+            config,
+            derive_seed(0x7af1c, trial * 613 + static_cast<std::uint64_t>(n)),
+            nullptr, &plan);
+        life.add(static_cast<double>(r.trial.intervals));
         delivery.add(100.0 * r.delivery_ratio);
         spread.add(r.energy_stddev_at_death);
-        gateways.add(r.avg_gateways);
+        gateways.add(r.trial.avg_gateways);
       }
       table.add_row({to_string(rs), TextTable::fmt(life.mean()),
                      TextTable::fmt(delivery.mean(), 1),
@@ -58,8 +59,10 @@ int main() {
             << "20 flows/interval, tx=1 rx=0.5 idle=0.05 beacon=0.2, "
                "EL0=200; "
             << trials << " trials per point\n\n";
-  run_block("--- no churn ---", ChurnModel{0.0, 0.25}, trials);
+  FaultPlan churn;
+  run_block("--- no churn ---", churn, trials);
+  churn.churn = {0.1, 0.25};
   run_block("--- with churn (hosts switch off w.p. 0.1, back on w.p. 0.25) ---",
-            ChurnModel{0.1, 0.25}, trials);
+            churn, trials);
   return 0;
 }

@@ -1031,9 +1031,13 @@ int cmd_faults(const std::vector<std::string>& tokens, std::ostream& out,
       << "retry: max " << plan.retry.max_attempts << " attempts, backoff "
       << plan.retry.backoff_base << ".." << plan.retry.backoff_cap
       << " rounds\n";
+  if (plan.churn != ChurnModel{}) {
+    out << "churn: off w.p. " << plan.churn.off_probability << ", back on w.p. "
+        << plan.churn.on_probability << " per interval\n";
+  }
   const std::vector<ScheduledFault> schedule = resolve_schedule(plan);
   if (schedule.empty()) {
-    out << "schedule: empty (channel-only plan)\n";
+    out << "schedule: empty\n";
     return 0;
   }
   out << "schedule (" << schedule.size() << " events):\n";

@@ -23,9 +23,6 @@ struct Packet {
   int retries = 0;            ///< retransmissions of the current hop
 };
 
-/// derive_seed index of the traffic stream (injections and radio loss).
-constexpr std::uint64_t kTrafficStream = 1;
-
 /// The world's config with the step count derived from the DES clock.
 SimConfig world_config(const PacketSimConfig& config) {
   if (config.world.n_hosts < 2 || config.sim_time <= 0.0 ||

@@ -12,9 +12,9 @@
 // scenario axis applies. In-flight packets whose next hop walked out of
 // range after a step are dropped (route breakage). The world draws only from
 // its own stream (seeded with `seed`); injections and radio loss draw from
-// derive_seed(seed, 1), so traffic never perturbs the world, whose interval
-// stream equals run_lifetime_trial's for the same world, seed, plan and
-// step count.
+// derive_seed(seed, kTrafficStream), so traffic never perturbs the world,
+// whose interval stream equals run_lifetime_trial's for the same world,
+// seed, plan and step count.
 //
 // A world that finishes early (a draining world's first death, or a degraded
 // run down to at most one functioning host) leaves its last backbone up

@@ -33,6 +33,7 @@
 #include "sim/montecarlo.hpp"
 #include "sim/tiled_engine.hpp"
 #include "sim/trace.hpp"
+#include "sim/traffic_sim.hpp"
 
 namespace pacds::fuzz {
 
@@ -743,14 +744,7 @@ void check_manifest_replay(const FuzzScenario& s, const OracleOptions& opts,
     parse_sim_config_json(manifest_member(manifest, "config"), config,
                           "run_manifest: ");
     const JsonValue& plan_value = manifest_member(manifest, "faults");
-    if (!plan_value.is_null()) {
-      std::ostringstream plan_text;
-      {
-        JsonWriter json(plan_text);
-        write_json(json, plan_value);
-      }
-      faults = parse_fault_plan(plan_text.str());
-    }
+    if (!plan_value.is_null()) faults = parse_fault_plan(plan_value);
     base_seed = static_cast<std::uint64_t>(
         manifest_member(manifest, "base_seed").as_number());
     trials = static_cast<std::size_t>(
@@ -773,24 +767,21 @@ void check_manifest_replay(const FuzzScenario& s, const OracleOptions& opts,
   if (!diff.empty()) fail("replayed manifest diverges at " + diff);
 }
 
-/// Forwards a run's records; under the des-world mutation every interval
-/// record from the third on reports one more gateway. That is what a DES
-/// drawing its injections from the world stream shows: the first step's
-/// mobility precedes any injection, the second step's follows the first
-/// burst, so the third interval's topology is the first to diverge.
-class DesWorldObserver final : public IntervalObserver {
+/// Forwards a run's records; from interval `diverge_from` on (0 = never)
+/// each reports one more gateway, as a workload drawing traffic from the
+/// world stream would: the DES's from the third interval (its first burst
+/// follows the first mobility step), the traffic workload's from the second.
+class DivergingObserver final : public IntervalObserver {
  public:
-  DesWorldObserver(IntervalObserver& inner, bool mutate)
-      : inner_(&inner), mutate_(mutate) {}
+  DivergingObserver(IntervalObserver& inner, long diverge_from)
+      : inner_(&inner), diverge_from_(diverge_from) {}
 
   void on_interval(const IntervalRecord& record) override {
-    if (!mutate_ || record.interval < 3) {
-      inner_->on_interval(record);
-      return;
+    IntervalRecord observed = record;
+    if (diverge_from_ > 0 && record.interval >= diverge_from_) {
+      ++observed.gateways;
     }
-    IntervalRecord diverged = record;
-    ++diverged.gateways;
-    inner_->on_interval(diverged);
+    inner_->on_interval(observed);
   }
   void on_fault(const FaultRecord& record) override {
     inner_->on_fault(record);
@@ -798,8 +789,38 @@ class DesWorldObserver final : public IntervalObserver {
 
  private:
   IntervalObserver* inner_;
-  bool mutate_;
+  long diverge_from_;
 };
+
+/// Runs a workload over a LifetimeRun on `world` (`run(observer)` returns
+/// how many intervals its world stepped) and diffs the world stream it
+/// observed against run_lifetime_trial's over as many intervals.
+template <typename Run>
+void check_world_stream(const FuzzScenario& s, const char* oracle,
+                        SimConfig world, const FaultPlan* plan,
+                        long diverge_from, Run&& run,
+                        std::vector<OracleFailure>& failures) {
+  std::ostringstream observed;
+  {
+    obs::JsonlSink sink(observed);
+    JsonlIntervalObserver observer(sink, world, 0);
+    DivergingObserver forward(observer, diverge_from);
+    world.max_intervals = run(forward);
+  }
+  std::ostringstream lifetime;
+  {
+    obs::JsonlSink sink(lifetime);
+    JsonlIntervalObserver observer(sink, world, 0);
+    (void)run_lifetime_trial(world, s.trial_seed, &observer, plan);
+  }
+  const std::string diff =
+      first_divergence(oracle, canonical_stream(observed.str()), "lifetime",
+                       canonical_stream(lifetime.str()));
+  if (!diff.empty()) {
+    failures.push_back({oracle, "the workload's world stream diverges at " +
+                                    diff + " [" + describe(s) + "]"});
+  }
+}
 
 void check_des_world(const FuzzScenario& s, const OracleOptions& opts,
                      std::vector<OracleFailure>& failures) {
@@ -818,29 +839,39 @@ void check_des_world(const FuzzScenario& s, const OracleOptions& opts,
   des.max_retries = static_cast<int>(rng.uniform_int(0, 3));
   const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
   des.faults = plan;
+  check_world_stream(
+      s, "des-world", s.config, plan,
+      opts.mutation == kMutateDesWorld ? 3 : 0,
+      [&](IntervalObserver& observer) {
+        (void)des::run_packet_sim(des, s.trial_seed, &observer);
+        return des::world_steps(des);
+      },
+      failures);
+}
 
-  SimConfig world = s.config;
-  world.max_intervals = des::world_steps(des);
-  std::ostringstream lifetime;
-  {
-    obs::JsonlSink sink(lifetime);
-    JsonlIntervalObserver observer(sink, world, 0);
-    (void)run_lifetime_trial(world, s.trial_seed, &observer, plan);
-  }
-  std::ostringstream packets;
-  {
-    obs::JsonlSink sink(packets);
-    JsonlIntervalObserver observer(sink, world, 0);
-    DesWorldObserver forward(observer, opts.mutation == kMutateDesWorld);
-    (void)des::run_packet_sim(des, s.trial_seed, &forward);
-  }
-  const std::string diff =
-      first_divergence("des", canonical_stream(packets.str()), "lifetime",
-                       canonical_stream(lifetime.str()));
-  if (!diff.empty()) {
-    failures.push_back({"des-world", "the DES's world stream diverges at " +
-                                         diff + " [" + describe(s) + "]"});
-  }
+void check_traffic_world(const FuzzScenario& s, const OracleOptions& opts,
+                         std::vector<OracleFailure>& failures) {
+  if (s.config.n_hosts < 2) return;
+  // A zero-cost run drains nothing, so its world (the hook ignores the
+  // drain model) must be the zero-drain lifetime trial's at any flow count.
+  Xoshiro256 rng(derive_seed(s.trial_seed, 0x7af1U));
+  TrafficSimConfig traffic;
+  traffic.world = s.config;
+  traffic.world.max_intervals = 25;
+  traffic.world.drain_model = DrainModel::kConstantTotal;
+  traffic.world.drain_params.constant_base = 0.0;
+  traffic.world.drain_params.nongateway_drain = 0.0;
+  traffic.costs = EnergyCosts{0.0, 0.0, 0.0, 0.0};
+  traffic.flows_per_interval = static_cast<int>(rng.uniform_int(0, 30));
+  const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
+  check_world_stream(
+      s, "traffic-world", traffic.world, plan,
+      opts.mutation == kMutateTrafficWorld ? 2 : 0,
+      [&](IntervalObserver& observer) {
+        return run_traffic_trial(traffic, s.trial_seed, &observer, plan)
+            .trial.intervals;
+      },
+      failures);
 }
 
 }  // namespace
@@ -862,6 +893,7 @@ std::vector<OracleFailure> run_oracles(const FuzzScenario& scenario,
   check_serve_identity(scenario, options, failures);
   check_manifest_replay(scenario, options, failures);
   check_des_world(scenario, options, failures);
+  check_traffic_world(scenario, options, failures);
   return failures;
 }
 

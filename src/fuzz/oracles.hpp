@@ -63,6 +63,11 @@
 //                         whatever injection rate, loss and queueing the
 //                         oracle draws: traffic never touches the world
 //                         stream.
+//   traffic-world       — a zero-cost traffic run's world (drained by the
+//                         flow-routing hook) emits the zero-drain
+//                         run_lifetime_trial's stream for the same world,
+//                         seed and plan, `*_ns` aside, at whatever flow
+//                         count the oracle draws.
 //
 // Oracles that need preconditions (a connected snapshot, engine
 // eligibility, threads > 1, ...) skip silently when the scenario is outside
@@ -99,6 +104,7 @@ inline constexpr int kMutateServeIdentity = 10;
 inline constexpr int kMutateGapBound = 11;
 inline constexpr int kMutateManifestReplay = 12;
 inline constexpr int kMutateDesWorld = 13;
+inline constexpr int kMutateTrafficWorld = 14;
 
 struct OracleOptions {
   int mutation = kMutateNone;

@@ -221,6 +221,12 @@ FuzzScenario random_scenario(std::uint64_t base_seed, std::uint64_t index) {
     case 2: s.serve_ticks = 3; break;
     default: s.serve_ticks = 7; break;
   }
+  // Churn, drawn last so no other draw moves; half never switch a host off.
+  if (rng.bernoulli(0.2)) {
+    s.faults.churn.off_probability =
+        rng.bernoulli(0.5) ? rng.uniform(0.01, 0.3) : 0.0;
+    s.faults.churn.on_probability = rng.uniform(0.05, 0.9);
+  }
   return s;
 }
 
@@ -241,6 +247,7 @@ std::string describe(const FuzzScenario& s) {
       << JsonWriter::format_double(s.config.energy_key_quantum) << " events="
       << resolve_schedule(s.faults).size()
       << (s.faults.channel.any() ? " channel=faulty" : "")
+      << (s.faults.churn.off_probability > 0.0 ? " churn=on" : "")
       << " serve_ticks=" << s.serve_ticks;
   return out.str();
 }
@@ -298,12 +305,8 @@ FuzzScenario parse_scenario(std::string_view text) {
       // prefix so corpus diagnostics read as before.
       parse_sim_config_json(value, s.config, "fuzz scenario: ");
     } else if (key == "faults") {
-      // Re-serialize the sub-document and delegate to the fault-plan parser,
-      // so corpus files share exactly its strict schema and range rules.
-      std::ostringstream plan_text;
-      JsonWriter plan_json(plan_text);
-      write_json(plan_json, value);
-      s.faults = parse_fault_plan(plan_text.str());
+      // Corpus files share the fault-plan parser's strict schema exactly.
+      s.faults = parse_fault_plan(value);
     } else {
       fail("unknown top-level key \"" + key + "\"");
     }

@@ -61,6 +61,12 @@ std::vector<Transform> transforms() {
          s.faults.thefts.pop_back();
          return true;
        }},
+      {"drop-churn",
+       [](FuzzScenario& s) {
+         if (s.faults.churn == ChurnModel{}) return false;
+         s.faults.churn = ChurnModel{};
+         return true;
+       }},
       {"drop-channel-faults",
        [](FuzzScenario& s) {
          if (!s.faults.channel.any()) return false;

@@ -12,23 +12,26 @@ namespace {
 /// Shared scaffold: keep each UDG edge u-v unless some third host w is a
 /// `witness(pw, pu, pv)` against it. Both models' witnesses lie strictly
 /// closer than |uv| <= radius to u and to v, so they are UDG neighbours of
-/// both endpoints: scanning the shorter of the two rows finds every one.
+/// both endpoints: scanning the shorter of the two rows finds every one. The
+/// blocked edges are judged on the untouched UDG, then removed in place.
 template <typename Witness>
 Graph filter_udg(const std::vector<Vec2>& positions, double radius,
                  Witness&& witness) {
-  const Graph udg = build_udg(positions, radius);
-  Graph g(udg.num_nodes());
-  for (const auto& [u, v] : udg.edges()) {
+  Graph g = build_udg(positions, radius);
+  std::vector<std::pair<NodeId, NodeId>> blocked;
+  for (const auto& [u, v] : g.edges()) {
     const Vec2 pu = positions[static_cast<std::size_t>(u)];
     const Vec2 pv = positions[static_cast<std::size_t>(v)];
     const auto row =
-        udg.degree(u) <= udg.degree(v) ? udg.neighbors(u) : udg.neighbors(v);
-    const bool blocked = std::any_of(row.begin(), row.end(), [&](NodeId w) {
-      return w != u && w != v &&
-             witness(positions[static_cast<std::size_t>(w)], pu, pv);
-    });
-    if (!blocked) g.add_edge(u, v);
+        g.degree(u) <= g.degree(v) ? g.neighbors(u) : g.neighbors(v);
+    if (std::any_of(row.begin(), row.end(), [&](NodeId w) {
+          return w != u && w != v &&
+                 witness(positions[static_cast<std::size_t>(w)], pu, pv);
+        })) {
+      blocked.emplace_back(u, v);
+    }
   }
+  for (const auto& [u, v] : blocked) g.remove_edge(u, v);
   return g;
 }
 

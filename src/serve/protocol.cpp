@@ -111,12 +111,8 @@ std::optional<Request> parse_request(std::string_view line, std::uint64_t seq,
       } else if (key == "trials") {
         request.trials = integer_of(value, "trials", 1, 1e6);
       } else if (key == "faults") {
-        // Re-serialize the sub-document and delegate to the fault-plan
-        // parser so serve shares its strict schema and range rules exactly.
-        std::ostringstream plan_text;
-        JsonWriter plan_json(plan_text);
-        write_json(plan_json, value);
-        request.faults = parse_fault_plan(plan_text.str());
+        // The fault-plan parser's strict schema and range rules, exactly.
+        request.faults = parse_fault_plan(value);
         request.has_faults = true;
       } else if (key == "intervals") {
         request.intervals = integer_of(value, "intervals", 0, 1e9);

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <functional>
 #include <stdexcept>
 
 #include "core/verify.hpp"
@@ -23,30 +22,29 @@ double number_of(const JsonValue& value, const std::string& what) {
   return value.as_number();
 }
 
-long interval_of(const JsonValue& value, const std::string& what) {
+/// An integer in [lo, hi]; otherwise fails with "<what> must be <rule>".
+long integer_of(const JsonValue& value, const std::string& what, double lo,
+                double hi, const char* rule) {
   const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < 1.0 || raw > 1e15) {
-    fail(what + " must be an integer interval >= 1");
+  if (raw != std::floor(raw) || raw < lo || raw > hi) {
+    fail(what + " must be " + rule);
   }
   return static_cast<long>(raw);
+}
+
+long interval_of(const JsonValue& value, const std::string& what) {
+  return integer_of(value, what, 1.0, 1e15, "an integer interval >= 1");
 }
 
 /// recover_at / until: 0 (never) or a later interval; the "> at" half is
 /// checked by the caller once both ends are known.
 long end_interval_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < 0.0 || raw > 1e15) {
-    fail(what + " must be 0 or an integer interval");
-  }
-  return static_cast<long>(raw);
+  return integer_of(value, what, 0.0, 1e15, "0 or an integer interval");
 }
 
 int node_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < 0.0 || raw > 1e9) {
-    fail(what + " must be a non-negative integer host id");
-  }
-  return static_cast<int>(raw);
+  return static_cast<int>(integer_of(value, what, 0.0, 1e9,
+                                     "a non-negative integer host id"));
 }
 
 double rate_of(const JsonValue& value, const std::string& what) {
@@ -55,98 +53,88 @@ double rate_of(const JsonValue& value, const std::string& what) {
   return raw;
 }
 
-int positive_int_of(const JsonValue& value, const std::string& what) {
-  const double raw = number_of(value, what);
-  if (raw != std::floor(raw) || raw < 1.0 || raw > 1e9) {
-    fail(what + " must be an integer >= 1");
+/// One key of a plan object and how to read its value (`what` names the
+/// value in errors).
+struct Member {
+  const char* key;
+  std::function<void(const JsonValue& value, const std::string& what)> read;
+  bool required = false;
+};
+
+/// Reads object `value` (named `at` in errors) member by member. Unknown
+/// keys fail loudly, and so does a missing required member ("<at> needs
+/// <needs>"); the parser rejects duplicate keys, so counting suffices.
+void read_members(const JsonValue& value, const std::string& at,
+                  const std::vector<Member>& members, const char* needs = "") {
+  if (!value.is_object()) fail(at + " must be an object");
+  std::ptrdiff_t required = 0;
+  for (const auto& [key, member] : value.as_object()) {
+    const auto it = std::find_if(members.begin(), members.end(),
+                                 [&](const Member& m) { return key == m.key; });
+    if (it == members.end()) fail(at + ": unknown key \"" + key + "\"");
+    it->read(member, at + "." + key);
+    required += it->required ? 1 : 0;
   }
-  return static_cast<int>(raw);
+  if (required < std::count_if(members.begin(), members.end(),
+                               [](const Member& m) { return m.required; })) {
+    fail(at + " needs " + needs);
+  }
 }
 
-CrashSpec parse_crash(const JsonValue& value, std::size_t index) {
-  const std::string at = "crashes[" + std::to_string(index) + "]";
-  if (!value.is_object()) fail(at + " must be an object");
-  CrashSpec spec;
-  bool have_node = false;
-  bool have_at = false;
-  for (const auto& [key, member] : value.as_object()) {
-    if (key == "node") {
-      spec.node = node_of(member, at + ".node");
-      have_node = true;
-    } else if (key == "at") {
-      spec.at = interval_of(member, at + ".at");
-      have_at = true;
-    } else if (key == "recover_at") {
-      spec.recover_at = end_interval_of(member, at + ".recover_at");
-    } else {
-      fail(at + ": unknown key \"" + key + "\"");
-    }
+/// Appends every element of the array `value` (named `what`) to `out`.
+template <typename Spec, typename Parse>
+void read_list(const JsonValue& value, const std::string& what,
+               std::vector<Spec>& out, Parse parse) {
+  if (!value.is_array()) fail(what + " must be an array");
+  const JsonArray& items = value.as_array();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out.push_back(parse(items[i], what + "[" + std::to_string(i) + "]"));
   }
-  if (!have_node || !have_at) fail(at + " needs \"node\" and \"at\"");
+}
+
+CrashSpec parse_crash(const JsonValue& value, const std::string& at) {
+  CrashSpec spec;
+  read_members(
+      value, at,
+      {{"node", [&](auto& v, auto& w) { spec.node = node_of(v, w); }, true},
+       {"at", [&](auto& v, auto& w) { spec.at = interval_of(v, w); }, true},
+       {"recover_at",
+        [&](auto& v, auto& w) { spec.recover_at = end_interval_of(v, w); }}},
+      R"("node" and "at")");
   if (spec.recover_at != 0 && spec.recover_at <= spec.at) {
     fail(at + ".recover_at must be 0 or > at");
   }
   return spec;
 }
 
-TheftSpec parse_theft(const JsonValue& value, std::size_t index) {
-  const std::string at = "thefts[" + std::to_string(index) + "]";
-  if (!value.is_object()) fail(at + " must be an object");
+TheftSpec parse_theft(const JsonValue& value, const std::string& at) {
   TheftSpec spec;
-  bool have_node = false;
-  bool have_at = false;
-  bool have_amount = false;
-  for (const auto& [key, member] : value.as_object()) {
-    if (key == "node") {
-      spec.node = node_of(member, at + ".node");
-      have_node = true;
-    } else if (key == "at") {
-      spec.at = interval_of(member, at + ".at");
-      have_at = true;
-    } else if (key == "amount") {
-      spec.amount = number_of(member, at + ".amount");
-      have_amount = true;
-    } else {
-      fail(at + ": unknown key \"" + key + "\"");
-    }
-  }
-  if (!have_node || !have_at || !have_amount) {
-    fail(at + " needs \"node\", \"at\" and \"amount\"");
-  }
+  read_members(
+      value, at,
+      {{"node", [&](auto& v, auto& w) { spec.node = node_of(v, w); }, true},
+       {"at", [&](auto& v, auto& w) { spec.at = interval_of(v, w); }, true},
+       {"amount", [&](auto& v, auto& w) { spec.amount = number_of(v, w); },
+        true}},
+      R"("node", "at" and "amount")");
   if (!(spec.amount > 0.0)) fail(at + ".amount must be > 0");
   return spec;
 }
 
-BlackoutSpec parse_blackout(const JsonValue& value, std::size_t index) {
-  const std::string at = "blackouts[" + std::to_string(index) + "]";
-  if (!value.is_object()) fail(at + " must be an object");
+BlackoutSpec parse_blackout(const JsonValue& value, const std::string& at) {
   BlackoutSpec spec;
-  bool have[5] = {false, false, false, false, false};  // x0 y0 x1 y1 at
-  for (const auto& [key, member] : value.as_object()) {
-    if (key == "x0") {
-      spec.x0 = number_of(member, at + ".x0");
-      have[0] = true;
-    } else if (key == "y0") {
-      spec.y0 = number_of(member, at + ".y0");
-      have[1] = true;
-    } else if (key == "x1") {
-      spec.x1 = number_of(member, at + ".x1");
-      have[2] = true;
-    } else if (key == "y1") {
-      spec.y1 = number_of(member, at + ".y1");
-      have[3] = true;
-    } else if (key == "at") {
-      spec.at = interval_of(member, at + ".at");
-      have[4] = true;
-    } else if (key == "until") {
-      spec.until = end_interval_of(member, at + ".until");
-    } else {
-      fail(at + ": unknown key \"" + key + "\"");
-    }
-  }
-  if (!have[0] || !have[1] || !have[2] || !have[3] || !have[4]) {
-    fail(at + " needs \"x0\", \"y0\", \"x1\", \"y1\" and \"at\"");
-  }
+  const auto coordinate = [&](double& field) {
+    return [&field](auto& v, auto& w) { field = number_of(v, w); };
+  };
+  read_members(
+      value, at,
+      {{"x0", coordinate(spec.x0), true},
+       {"y0", coordinate(spec.y0), true},
+       {"x1", coordinate(spec.x1), true},
+       {"y1", coordinate(spec.y1), true},
+       {"at", [&](auto& v, auto& w) { spec.at = interval_of(v, w); }, true},
+       {"until",
+        [&](auto& v, auto& w) { spec.until = end_interval_of(v, w); }}},
+      R"("x0", "y0", "x1", "y1" and "at")");
   if (spec.x1 < spec.x0 || spec.y1 < spec.y0) {
     fail(at + ": x1/y1 must not be below x0/y0");
   }
@@ -156,36 +144,19 @@ BlackoutSpec parse_blackout(const JsonValue& value, std::size_t index) {
   return spec;
 }
 
-void parse_channel(const JsonValue& value, FaultPlan& plan) {
-  if (!value.is_object()) fail("channel must be an object");
-  for (const auto& [key, member] : value.as_object()) {
-    if (key == "drop") {
-      plan.channel.drop = rate_of(member, "channel.drop");
-    } else if (key == "duplicate") {
-      plan.channel.duplicate = rate_of(member, "channel.duplicate");
-    } else if (key == "delay") {
-      plan.channel.delay = rate_of(member, "channel.delay");
-    } else if (key == "max_attempts") {
-      plan.retry.max_attempts = positive_int_of(member, "channel.max_attempts");
-    } else if (key == "backoff_base") {
-      plan.retry.backoff_base = positive_int_of(member, "channel.backoff_base");
-    } else if (key == "backoff_cap") {
-      plan.retry.backoff_cap = positive_int_of(member, "channel.backoff_cap");
-    } else {
-      fail("channel: unknown key \"" + key + "\"");
-    }
-  }
-  if (plan.retry.backoff_cap < plan.retry.backoff_base) {
-    fail("channel.backoff_cap must be >= channel.backoff_base");
-  }
-}
-
 }  // namespace
 
-FaultPlan parse_fault_plan(std::string_view text) {
-  const JsonValue doc = parse_json(text);
+FaultPlan parse_fault_plan(const JsonValue& doc) {
   if (!doc.is_object()) fail("document must be a JSON object");
   FaultPlan plan;
+  const auto rate = [](double& field) {
+    return [&field](auto& v, auto& w) { field = rate_of(v, w); };
+  };
+  const auto count = [](int& field) {
+    return [&field](auto& v, auto& w) {
+      field = static_cast<int>(integer_of(v, w, 1.0, 1e9, "an integer >= 1"));
+    };
+  };
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "seed") {
       const double raw = number_of(value, "seed");
@@ -194,25 +165,26 @@ FaultPlan parse_fault_plan(std::string_view text) {
       }
       plan.seed = static_cast<std::uint64_t>(raw);
     } else if (key == "crashes") {
-      if (!value.is_array()) fail("crashes must be an array");
-      const JsonArray& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        plan.crashes.push_back(parse_crash(items[i], i));
-      }
+      read_list(value, key, plan.crashes, parse_crash);
     } else if (key == "thefts") {
-      if (!value.is_array()) fail("thefts must be an array");
-      const JsonArray& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        plan.thefts.push_back(parse_theft(items[i], i));
-      }
+      read_list(value, key, plan.thefts, parse_theft);
     } else if (key == "blackouts") {
-      if (!value.is_array()) fail("blackouts must be an array");
-      const JsonArray& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        plan.blackouts.push_back(parse_blackout(items[i], i));
-      }
+      read_list(value, key, plan.blackouts, parse_blackout);
     } else if (key == "channel") {
-      parse_channel(value, plan);
+      read_members(value, key,
+                   {{"drop", rate(plan.channel.drop)},
+                    {"duplicate", rate(plan.channel.duplicate)},
+                    {"delay", rate(plan.channel.delay)},
+                    {"max_attempts", count(plan.retry.max_attempts)},
+                    {"backoff_base", count(plan.retry.backoff_base)},
+                    {"backoff_cap", count(plan.retry.backoff_cap)}});
+      if (plan.retry.backoff_cap < plan.retry.backoff_base) {
+        fail("channel.backoff_cap must be >= channel.backoff_base");
+      }
+    } else if (key == "churn") {
+      read_members(value, key,
+                   {{"off_probability", rate(plan.churn.off_probability)},
+                    {"on_probability", rate(plan.churn.on_probability)}});
     } else {
       fail("unknown top-level key \"" + key + "\"");
     }
@@ -220,13 +192,14 @@ FaultPlan parse_fault_plan(std::string_view text) {
   return plan;
 }
 
+FaultPlan parse_fault_plan(std::string_view text) {
+  return parse_fault_plan(parse_json(text));
+}
+
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error(path + ": cannot open fault plan");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
+  const JsonValue doc = load_json_file(path);
   try {
-    return parse_fault_plan(buffer.str());
+    return parse_fault_plan(doc);
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
@@ -273,6 +246,12 @@ void write_fault_plan(JsonWriter& json, const FaultPlan& plan) {
   json.key("backoff_base").value(plan.retry.backoff_base);
   json.key("backoff_cap").value(plan.retry.backoff_cap);
   json.end_object();
+  if (plan.churn != ChurnModel{}) {
+    json.key("churn").begin_object();
+    json.key("off_probability").value(plan.churn.off_probability);
+    json.key("on_probability").value(plan.churn.on_probability);
+    json.end_object();
+  }
   json.end_object();
 }
 
@@ -285,24 +264,27 @@ void validate_fault_plan(const FaultPlan& plan, int n_hosts) {
           std::to_string(n_hosts) + ")");
     }
   };
+  const auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw std::invalid_argument("fault plan: bad " + what);
+  };
   for (const CrashSpec& crash : plan.crashes) {
     check_node(crash.node, "crash");
-    if (crash.at < 1 || (crash.recover_at != 0 && crash.recover_at <= crash.at)) {
-      throw std::invalid_argument("fault plan: bad crash schedule");
-    }
+    require(crash.at >= 1 &&
+                (crash.recover_at == 0 || crash.recover_at > crash.at),
+            "crash schedule");
   }
   for (const TheftSpec& theft : plan.thefts) {
     check_node(theft.node, "theft");
-    if (theft.at < 1 || !(theft.amount > 0.0)) {
-      throw std::invalid_argument("fault plan: bad theft schedule");
-    }
+    require(theft.at >= 1 && theft.amount > 0.0, "theft schedule");
   }
-  for (const BlackoutSpec& blackout : plan.blackouts) {
-    if (blackout.at < 1 ||
-        (blackout.until != 0 && blackout.until <= blackout.at) ||
-        blackout.x1 < blackout.x0 || blackout.y1 < blackout.y0) {
-      throw std::invalid_argument("fault plan: bad blackout schedule");
-    }
+  for (const BlackoutSpec& b : plan.blackouts) {
+    require(b.at >= 1 && (b.until == 0 || b.until > b.at) && b.x1 >= b.x0 &&
+                b.y1 >= b.y0,
+            "blackout schedule");
+  }
+  const ChurnModel& churn = plan.churn;
+  for (const double p : {churn.off_probability, churn.on_probability}) {
+    require(p >= 0.0 && p < 1.0, "churn rate (must be in [0, 1))");
   }
 }
 
@@ -370,13 +352,16 @@ BackboneHealth assess_backbone(const Graph& g, const DynBitset& gateways,
 // ---- FaultInjector ---------------------------------------------------------
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t n_hosts,
-                             double field_width, double radius)
+                             double field_width, double radius,
+                             std::uint64_t churn_seed)
     : plan_(&plan),
       schedule_(resolve_schedule(plan)),
       field_width_(field_width),
       park_spacing_(2.0 * (radius > 0.0 ? radius : 1.0)),
       down_reasons_(n_hosts, 0),
       dead_(n_hosts, false),
+      churned_off_(n_hosts, false),
+      churn_rng_(churn_seed),
       down_(n_hosts),
       blackout_members_(plan.blackouts.size()) {}
 
@@ -385,14 +370,20 @@ Vec2 FaultInjector::park_position(std::size_t host) const {
           -park_spacing_};
 }
 
-void FaultInjector::add_down_reason(std::size_t host) {
-  ++down_reasons_[host];
+void FaultInjector::switch_host(std::size_t host, bool down, FaultCause cause,
+                                long interval,
+                                std::vector<FaultRecord>& events) {
+  const bool was_down = down_.test(host);
+  if (down) {
+    ++down_reasons_[host];
+  } else if (down_reasons_[host] > 0) {
+    --down_reasons_[host];
+  }
   refresh_down(host);
-}
-
-void FaultInjector::remove_down_reason(std::size_t host) {
-  if (down_reasons_[host] > 0) --down_reasons_[host];
-  refresh_down(host);
+  if (down_.test(host) != was_down) {
+    events.push_back({interval, down ? FaultKind::kCrash : FaultKind::kRecover,
+                      cause, static_cast<int>(host), 0.0, down_count_});
+  }
 }
 
 void FaultInjector::refresh_down(std::size_t host) {
@@ -410,6 +401,18 @@ void FaultInjector::refresh_down(std::size_t host) {
 void FaultInjector::apply(long interval, const std::vector<Vec2>& positions,
                           BatteryBank& batteries,
                           std::vector<FaultRecord>& events) {
+  // Churn, from interval 2 on: every host not yet dead draws once.
+  const ChurnModel& churn = plan_->churn;
+  const bool churning = interval >= 2 && churn.off_probability > 0.0;
+  for (std::size_t host = 0; churning && host < dead_.size(); ++host) {
+    const bool off = churned_off_[host];
+    if (dead_[host] || !churn_rng_.bernoulli(off ? churn.on_probability
+                                                 : churn.off_probability)) {
+      continue;
+    }
+    churned_off_[host] = !off;
+    switch_host(host, !off, FaultCause::kChurn, interval, events);
+  }
   while (cursor_ < schedule_.size() &&
          schedule_[cursor_].interval <= interval) {
     const ScheduledFault& event = schedule_[cursor_++];
@@ -417,13 +420,8 @@ void FaultInjector::apply(long interval, const std::vector<Vec2>& positions,
     switch (event.kind) {
       case FaultKind::kCrash: {
         if (event.blackout < 0) {
-          const auto host = static_cast<std::size_t>(event.node);
-          const bool was_down = down_.test(host);
-          add_down_reason(host);
-          if (!was_down) {
-            events.push_back({interval, FaultKind::kCrash, FaultCause::kPlan,
-                              event.node, 0.0, down_count_});
-          }
+          switch_host(static_cast<std::size_t>(event.node), true,
+                      FaultCause::kPlan, interval, events);
           break;
         }
         // Blackout entry: capture every functioning host inside the region.
@@ -440,33 +438,22 @@ void FaultInjector::apply(long interval, const std::vector<Vec2>& positions,
             continue;
           }
           members.push_back(host);
-          add_down_reason(host);
-          events.push_back({interval, FaultKind::kCrash,
-                            FaultCause::kBlackout, static_cast<int>(host),
-                            0.0, down_count_});
+          switch_host(host, true, FaultCause::kBlackout, interval, events);
         }
         break;
       }
       case FaultKind::kRecover: {
         if (event.blackout < 0) {
-          const auto host = static_cast<std::size_t>(event.node);
-          remove_down_reason(host);
-          if (!down_.test(host)) {
-            events.push_back({interval, FaultKind::kRecover, FaultCause::kPlan,
-                              event.node, 0.0, down_count_});
-          }
+          switch_host(static_cast<std::size_t>(event.node), false,
+                      FaultCause::kPlan, interval, events);
           break;
         }
-        // Blackout exit: release exactly the hosts captured at entry.
+        // Blackout exit: release exactly the hosts captured at entry (dead
+        // ones stay down).
         auto& members =
             blackout_members_[static_cast<std::size_t>(event.blackout)];
         for (const std::size_t host : members) {
-          remove_down_reason(host);
-          if (!down_.test(host)) {  // dead hosts stay down
-            events.push_back({interval, FaultKind::kRecover,
-                              FaultCause::kBlackout, static_cast<int>(host),
-                              0.0, down_count_});
-          }
+          switch_host(host, false, FaultCause::kBlackout, interval, events);
         }
         members.clear();
         break;

@@ -9,12 +9,12 @@
 // at most one functioning host remains — reporting repair latency,
 // backbone-disconnection intervals and domination coverage on the way.
 //
-// Everything is interval-scheduled — the lifetime side of a plan consumes
-// NO randomness, so a faulted run draws the exact random stream of its
-// fault-free twin (placement + mobility only) and the two are directly
-// comparable. The plan's seed feeds only the dist channel. The JSON schema
-// is specified in FAULTS.md; an empty plan is the identity (pinned by
-// tests/faults_test).
+// Everything but churn is interval-scheduled. Churn (random on/off
+// switching) draws from the run's own churn stream, never from the world
+// stream, so a faulted run draws the exact placement and mobility of its
+// fault-free twin and the two are directly comparable. The plan's seed feeds
+// only the dist channel. The JSON schema is specified in FAULTS.md; an empty
+// plan is the identity (pinned by tests/faults_test).
 
 #include <cstddef>
 #include <cstdint>
@@ -26,11 +26,13 @@
 #include "core/graph.hpp"
 #include "dist/channel.hpp"
 #include "energy/battery.hpp"
+#include "net/rng.hpp"
 #include "net/vec2.hpp"
 #include "sim/trace.hpp"
 
 namespace pacds {
 
+class JsonValue;
 class JsonWriter;
 
 /// Host goes down at the start of interval `at`; comes back at the start of
@@ -63,6 +65,16 @@ struct BlackoutSpec {
   long until = 0;
 };
 
+/// Host on/off churn (the paper's "switching on/off ... a special form of
+/// mobility"): from interval 2 on, each host not yet dead draws once per
+/// interval whether to switch; an off host is down.
+struct ChurnModel {
+  double off_probability = 0.0;  ///< P(active host switches off) per interval
+  double on_probability = 0.25;  ///< P(inactive host returns) per interval
+
+  bool operator==(const ChurnModel&) const = default;
+};
+
 /// The full fault model of one run. All fields optional in the JSON form;
 /// defaults are the no-fault identity. See FAULTS.md for the schema.
 struct FaultPlan {
@@ -72,12 +84,14 @@ struct FaultPlan {
   std::vector<BlackoutSpec> blackouts;
   dist::ChannelFaultConfig channel{};
   dist::RetryPolicy retry{};
+  ChurnModel churn{};
 
-  /// True iff the plan schedules any lifetime-side event. Only such plans
-  /// switch run_lifetime_trial into degraded mode; channel rates alone
-  /// affect only the dist protocol.
+  /// True iff the plan schedules any lifetime-side event or churns hosts
+  /// off. Only such plans switch run_lifetime_trial into degraded mode;
+  /// channel rates alone affect only the dist protocol.
   [[nodiscard]] bool has_lifetime_events() const noexcept {
-    return !crashes.empty() || !thefts.empty() || !blackouts.empty();
+    return !crashes.empty() || !thefts.empty() || !blackouts.empty() ||
+           churn.off_probability > 0.0;
   }
   [[nodiscard]] bool empty() const noexcept {
     return !has_lifetime_events() && !channel.any();
@@ -89,16 +103,19 @@ struct FaultPlan {
 /// recover_at/until either 0 or > at. Throws std::runtime_error naming the
 /// offending field.
 [[nodiscard]] FaultPlan parse_fault_plan(std::string_view text);
+/// The same, for an already parsed document (e.g. a request's `faults`).
+[[nodiscard]] FaultPlan parse_fault_plan(const JsonValue& doc);
 
 /// Reads and parses a plan file; errors are prefixed with the path.
 [[nodiscard]] FaultPlan load_fault_plan(const std::string& path);
 
 /// Emits the normalized plan as one JSON object (every field explicit, in
-/// schema order) through a writer positioned to accept a value.
+/// schema order; `churn` only when not default) through a writer positioned
+/// to accept a value.
 void write_fault_plan(JsonWriter& json, const FaultPlan& plan);
 
 /// Node-range check against a concrete host count (parse_fault_plan cannot
-/// know n). Throws std::invalid_argument on an out-of-range node.
+/// know n), plus the range rules. Throws std::invalid_argument.
 void validate_fault_plan(const FaultPlan& plan, int n_hosts);
 
 /// One statically resolvable entry of a plan's schedule (blackout entries
@@ -136,8 +153,8 @@ struct BackboneHealth {
 
 /// Degraded-mode aggregates of one trial (all zero for fault-free runs).
 struct FaultStats {
-  std::size_t events = 0;      ///< scheduled events applied
-  std::size_t crashes = 0;     ///< crash events (plan + blackout members)
+  std::size_t events = 0;      ///< crash/recover/theft events applied
+  std::size_t crashes = 0;     ///< crash events (plan, blackout, churn)
   std::size_t recoveries = 0;
   std::size_t thefts = 0;
   std::size_t deaths = 0;      ///< battery deaths (drain or theft)
@@ -152,22 +169,24 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
-/// Applies a plan's schedule interval by interval. Owns the down set: a
-/// host is down while crashed (scheduled or blackout) or once dead; dead
-/// hosts never recover. Down hosts are excised from the radio graph by
-/// reporting a parked position — beyond the field and pairwise farther than
-/// the radius apart, so they are isolated under every link model and both
-/// engines (the spatial grid handles out-of-field coordinates).
+/// Applies a plan's schedule and churn interval by interval. Owns the down
+/// set: a host is down while crashed (scheduled or blackout), churned off,
+/// or once dead; dead hosts never recover. Down hosts are excised from the
+/// radio graph by reporting a parked position — beyond the field and
+/// pairwise farther than the radius apart, so they are isolated under every
+/// link model and both engines (the spatial grid handles out-of-field
+/// coordinates).
 class FaultInjector {
  public:
   /// `plan` is borrowed and must outlive the injector.
   FaultInjector(const FaultPlan& plan, std::size_t n_hosts,
-                double field_width, double radius);
+                double field_width, double radius,
+                std::uint64_t churn_seed = 0);
 
-  /// Applies every event scheduled for `interval` (intervals must be
-  /// visited in increasing order starting at 1). Blackout membership is
-  /// resolved from `positions`; thefts drain `batteries` and may kill.
-  /// One FaultRecord per applied event is appended to `events`.
+  /// Draws churn, then applies every event scheduled for `interval`
+  /// (intervals must be visited in increasing order starting at 1). Blackout
+  /// membership is resolved from `positions`; thefts drain `batteries` and
+  /// may kill. One FaultRecord per applied event is appended to `events`.
   void apply(long interval, const std::vector<Vec2>& positions,
              BatteryBank& batteries, std::vector<FaultRecord>& events);
 
@@ -198,8 +217,10 @@ class FaultInjector {
   [[nodiscard]] Vec2 park_position(std::size_t host) const;
 
  private:
-  void add_down_reason(std::size_t host);
-  void remove_down_reason(std::size_t host);
+  /// Adds (`down`) or drops one down reason of `host`, appending a crash or
+  /// recover record of `cause` when that flips the host's state.
+  void switch_host(std::size_t host, bool down, FaultCause cause,
+                   long interval, std::vector<FaultRecord>& events);
   void refresh_down(std::size_t host);
 
   const FaultPlan* plan_;
@@ -208,10 +229,12 @@ class FaultInjector {
   double field_width_;
   double park_spacing_;
 
-  /// A host is down iff dead or down_reasons_ > 0 (crash and blackout
-  /// windows may overlap; recovery from one must not undo the other).
+  /// A host is down iff dead or down_reasons_ > 0 (crash, blackout and
+  /// churn windows may overlap; recovery from one must not undo another).
   std::vector<std::uint8_t> down_reasons_;
   std::vector<bool> dead_;
+  std::vector<bool> churned_off_;
+  Xoshiro256 churn_rng_;
   DynBitset down_;
   std::size_t down_count_ = 0;
   bool down_changed_ = false;

@@ -12,12 +12,14 @@
 namespace pacds {
 
 LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
-                         IntervalObserver* observer, const FaultPlan* faults)
+                         IntervalObserver* observer, const FaultPlan* faults,
+                         DrainHook* drain)
     : config_(config),
       rng_(seed),
       field_(config.field_width, config.field_height, config.field_depth,
              config.boundary),
       observer_(observer),
+      drain_hook_(drain),
       batteries_(static_cast<std::size_t>(std::max(config.n_hosts, 1)),
                  config.initial_energy) {
   if (config_.n_hosts < 1) {
@@ -54,10 +56,10 @@ LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
   }
   mobility_ = make_mobility(config_.mobility_kind, mobility_params);
 
-  // Placement and mobility are the only RNG consumers, so neither the choice
-  // of engine nor a fault plan can perturb the random stream: both engines
-  // yield bit-identical trials wherever the incremental one is eligible, and
-  // a faulted run shares its fault-free twin's placement and trajectories.
+  // Placement and mobility are the only world-stream consumers, so neither
+  // the engine nor a fault plan (churn has its own stream) can perturb it:
+  // both engines yield bit-identical trials wherever the incremental one is
+  // eligible, and a faulted run shares its fault-free twin's trajectories.
   engine_ = make_lifetime_engine(config_);
 
   // Metrics are gathered only when someone is listening; with no observer
@@ -71,11 +73,12 @@ LifetimeRun::LifetimeRun(const SimConfig& config, std::uint64_t seed,
     fault_plan_ = *faults;
     validate_fault_plan(fault_plan_, config_.n_hosts);
     injector_.emplace(fault_plan_, batteries_.size(), config_.field_width,
-                      config_.radius);
+                      config_.radius, derive_seed(seed, kChurnStream));
     health_scratch_ = DynBitset(batteries_.size());
   } else {
     none_down_ = DynBitset(batteries_.size());
   }
+  if (drain_hook_ != nullptr) drain_amounts_.resize(batteries_.size());
 }
 
 LifetimeRun::~LifetimeRun() = default;
@@ -156,7 +159,12 @@ bool LifetimeRun::step() {
   have_prev_gateways_ = true;
 
   // 4. Drain. Down hosts spend nothing (a crashed radio is off); gateway
-  //    duty is judged against the active set.
+  //    duty is judged against the active set (or by the drain hook).
+  const bool hooked = drain_hook_ != nullptr;
+  if (hooked) {
+    drain_hook_->charge(*engine_->graph(), *drain_gateways, down(),
+                        drain_amounts_);
+  }
   const double d = gateway_drain(config_.drain_model, batteries_.size(),
                                  counts.gateways, config_.drain_params);
   const double d_prime = config_.drain_params.nongateway_drain;
@@ -164,8 +172,10 @@ bool LifetimeRun::step() {
   const std::size_t death_start = fault_events_.size();
   for (std::size_t host = 0; host < batteries_.size(); ++host) {
     if (faulted_ && injector_->down().test(host)) continue;
-    const bool is_gateway = drain_gateways->test(host);
-    if (batteries_.drain(host, is_gateway ? d : d_prime)) {
+    const double amount = hooked ? drain_amounts_[host]
+                          : drain_gateways->test(host) ? d
+                                                       : d_prime;
+    if (batteries_.drain(host, amount)) {
       someone_died = true;
       if (faulted_) injector_->record_death(host, interval, fault_events_);
     }
@@ -178,29 +188,14 @@ bool LifetimeRun::step() {
   if (faulted_) {
     FaultStats& fs = result_.faults;
     for (const FaultRecord& event : fault_events_) {
-      switch (event.kind) {
-        case FaultKind::kCrash:
-          ++fs.events;
-          ++fs.crashes;
-          break;
-        case FaultKind::kRecover:
-          ++fs.events;
-          ++fs.recoveries;
-          break;
-        case FaultKind::kTheft:
-          ++fs.events;
-          ++fs.thefts;
-          break;
-        case FaultKind::kDeath:
-          ++fs.deaths;
-          if (fs.first_death_interval < 0) {
-            fs.first_death_interval = event.interval;
-          }
-          break;
-        case FaultKind::kRepair:
-          break;
-      }
+      fs.crashes += event.kind == FaultKind::kCrash;
+      fs.recoveries += event.kind == FaultKind::kRecover;
+      fs.thefts += event.kind == FaultKind::kTheft;
+      if (event.kind != FaultKind::kDeath) continue;
+      ++fs.deaths;
+      if (fs.first_death_interval < 0) fs.first_death_interval = event.interval;
     }
+    fs.events = fs.crashes + fs.recoveries + fs.thefts;
     if (!health.backbone_ok) ++fs.disconnected_intervals;
     if (health.coverage < 1.0) ++fs.uncovered_intervals;
     fs.min_coverage = std::min(fs.min_coverage, health.coverage);

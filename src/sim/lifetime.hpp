@@ -5,7 +5,7 @@
 //   2. each update interval, recompute the gateway set with the configured
 //      rule family, using current battery levels as the EL keys;
 //   3. drain each gateway by d (drain model / |G'|) and each non-gateway by
-//      d' = 1; stop when the first host dies;
+//      d' = 1 (or by a DrainHook's amounts); stop when the first host dies;
 //   4. otherwise every host roams per the movement model and the next
 //      interval begins.
 
@@ -196,6 +196,23 @@ struct TrialResult {
   FaultStats faults{};       ///< degraded-mode aggregates (zero when none)
 };
 
+/// derive_seed indices of a run seed's side streams: workload traffic (DES
+/// injections and loss, routed flows) and plan churn never draw from the
+/// world stream (the seed itself: placement and mobility only).
+inline constexpr std::uint64_t kTrafficStream = 1;
+inline constexpr std::uint64_t kChurnStream = 2;
+
+/// Replaces step 4's d-model amounts: given the step's graph, the gateways it
+/// drains by and the down set, writes what every host that is not down
+/// spends this interval into `amounts` (one entry per host). The run's drain
+/// loop applies them, so deaths and the stop rule stay on one path.
+class DrainHook {
+ public:
+  virtual ~DrainHook() = default;
+  virtual void charge(const Graph& graph, const DynBitset& gateways,
+                      const DynBitset& down, std::vector<double>& amounts) = 0;
+};
+
 /// One lifetime trial as a resumable object: construction does placement and
 /// engine setup, each step() runs exactly one update interval, and result()
 /// finalizes the aggregates at any point. `while (run.step()) {}` is
@@ -205,19 +222,20 @@ struct TrialResult {
 /// few intervals per tick instead of replaying the trial from scratch.
 ///
 /// Determinism contract: the trial is a pure function of (config, seed) plus
-/// the fault plan; the observer only watches. Placement (constructor) and
-/// mobility (inside step) are the only RNG consumers, so tick granularity —
-/// how many step() calls happen per scheduler batch — cannot perturb the
-/// stream.
+/// the fault plan and drain hook; the observer only watches. Placement and
+/// mobility are the only world-stream consumers (churn has its own), so
+/// tick granularity — how many step() calls happen per scheduler batch —
+/// cannot perturb the stream.
 class LifetimeRun {
  public:
   /// Validates the config/plan (throws std::invalid_argument or the fault
   /// plan's errors) and performs placement + engine construction. The
   /// config and plan are copied; the observer is borrowed and must outlive
-  /// the run or be replaced via set_observer.
+  /// the run or be replaced via set_observer; a non-null `drain` is borrowed.
   explicit LifetimeRun(const SimConfig& config, std::uint64_t seed,
                        IntervalObserver* observer = nullptr,
-                       const FaultPlan* faults = nullptr);
+                       const FaultPlan* faults = nullptr,
+                       DrainHook* drain = nullptr);
   // Not movable: the engine holds the address of the embedded metrics
   // registry. Long-lived holders (serve tenants) keep a unique_ptr instead.
   LifetimeRun(const LifetimeRun&) = delete;
@@ -255,12 +273,18 @@ class LifetimeRun {
   [[nodiscard]] const DynBitset& gateways() const;
   /// Hosts down in degraded mode; all clear without a fault plan.
   [[nodiscard]] const DynBitset& down() const;
+  /// Battery level of every host.
+  [[nodiscard]] const std::vector<double>& levels() const {
+    return batteries_.levels();
+  }
 
  private:
   SimConfig config_;
   Xoshiro256 rng_;
   Field field_;
   IntervalObserver* observer_ = nullptr;
+  DrainHook* drain_hook_ = nullptr;
+  std::vector<double> drain_amounts_;  ///< the hook's per-host output
   FaultPlan fault_plan_{};
   bool faulted_ = false;
 
@@ -302,8 +326,8 @@ class LifetimeRun {
 /// health (check_cds + domination coverage of functioning hosts) lands in
 /// TrialResult::faults and in FaultRecords pushed through the observer. A
 /// null or event-free plan leaves the trial bit-identical to the fault-free
-/// path — the plan itself consumes no randomness, so faulted and fault-free
-/// twins of one seed share the same placement and mobility stream.
+/// path — the plan draws nothing from the world stream (churn has its own),
+/// so faulted and fault-free twins of one seed share placement and mobility.
 [[nodiscard]] TrialResult run_lifetime_trial(const SimConfig& config,
                                              std::uint64_t seed,
                                              IntervalObserver* observer =

@@ -7,27 +7,6 @@
 
 namespace pacds {
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kRecover: return "recover";
-    case FaultKind::kTheft: return "theft";
-    case FaultKind::kDeath: return "death";
-    case FaultKind::kRepair: return "repair";
-  }
-  return "?";
-}
-
-std::string to_string(FaultCause cause) {
-  switch (cause) {
-    case FaultCause::kPlan: return "plan";
-    case FaultCause::kBlackout: return "blackout";
-    case FaultCause::kBattery: return "battery";
-    case FaultCause::kNone: return "none";
-  }
-  return "?";
-}
-
 std::vector<std::string> SimTrace::csv_header() {
   return {"interval",    "marked",     "gateways", "min_energy",
           "mean_energy", "max_energy", "alive",    "touched"};

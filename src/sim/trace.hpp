@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/names.hpp"
 #include "obs/metrics.hpp"
 
 namespace pacds {
@@ -30,8 +31,8 @@ struct IntervalRecord {
 
 /// What happened to a host (or to the backbone) in a fault event.
 enum class FaultKind : std::uint8_t {
-  kCrash,    ///< host went down (scheduled crash or blackout entry)
-  kRecover,  ///< host came back (scheduled recovery or blackout exit)
+  kCrash,    ///< host went down (crash, blackout entry or churn switch-off)
+  kRecover,  ///< host came back (recovery, blackout exit or churn switch-on)
   kTheft,    ///< battery theft drained a host by `amount`
   kDeath,    ///< battery reached zero (drain or theft)
   kRepair,   ///< localized backbone repair round after the down set changed
@@ -43,10 +44,24 @@ enum class FaultCause : std::uint8_t {
   kBlackout,  ///< membership in a region blackout
   kBattery,   ///< energy depletion
   kNone,      ///< not applicable (repair records)
+  kChurn,     ///< the plan's random on/off churn switched the host
 };
 
-[[nodiscard]] std::string to_string(FaultKind kind);
-[[nodiscard]] std::string to_string(FaultCause cause);
+inline constexpr WireName<FaultKind> kFaultKindNames[] = {
+    {FaultKind::kCrash, "crash"},   {FaultKind::kRecover, "recover"},
+    {FaultKind::kTheft, "theft"},   {FaultKind::kDeath, "death"},
+    {FaultKind::kRepair, "repair"}};
+inline constexpr WireName<FaultCause> kFaultCauseNames[] = {
+    {FaultCause::kPlan, "plan"},       {FaultCause::kBlackout, "blackout"},
+    {FaultCause::kBattery, "battery"}, {FaultCause::kNone, "none"},
+    {FaultCause::kChurn, "churn"}};
+
+[[nodiscard]] inline std::string to_string(FaultKind kind) {
+  return wire_name(kFaultKindNames, kind);
+}
+[[nodiscard]] inline std::string to_string(FaultCause cause) {
+  return wire_name(kFaultCauseNames, cause);
+}
 
 /// One fault event in a degraded-mode run. Events are published in the
 /// order they applied; `down` is the total number of non-functioning hosts

@@ -1,158 +1,106 @@
 #include "sim/traffic_sim.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "energy/battery.hpp"
-#include "net/mobility.hpp"
-#include "net/udg.hpp"
+#include "net/rng.hpp"
 #include "routing/routing.hpp"
-#include "sim/engine.hpp"
 
 namespace pacds {
 
 namespace {
 
-/// Unit-disk graph restricted to active, alive hosts (others stay as
-/// isolated vertices so indices line up with the battery bank).
-Graph build_active_udg(const std::vector<Vec2>& positions, double radius,
-                       const std::vector<char>& usable) {
-  const Graph full = build_udg(positions, radius);
-  Graph g(full.num_nodes());
-  for (const auto& [u, v] : full.edges()) {
-    if (usable[static_cast<std::size_t>(u)] &&
-        usable[static_cast<std::size_t>(v)]) {
-      g.add_edge(u, v);
+/// The world run's drain step: per-interval upkeep for every functioning
+/// host, then `flows_per_interval` random flows routed over the step's
+/// backbone, each charging its hops.
+class FlowCharger final : public DrainHook {
+ public:
+  FlowCharger(const TrafficSimConfig& config, std::uint64_t seed)
+      : costs_(config.costs),
+        flows_(config.flows_per_interval),
+        rng_(derive_seed(seed, kTrafficStream)) {}
+
+  void charge(const Graph& graph, const DynBitset& gateways,
+              const DynBitset& down, std::vector<double>& amounts) override {
+    usable_.clear();
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (down.test(vi)) continue;
+      usable_.push_back(v);
+      amounts[vi] = costs_.idle + (gateways.test(vi) ? costs_.beacon : 0.0);
+    }
+    if (usable_.size() < 2 || flows_ == 0) return;
+
+    const DominatingSetRouter router(graph, gateways);
+    const auto last = static_cast<std::int64_t>(usable_.size()) - 1;
+    for (int flow = 0; flow < flows_; ++flow) {
+      const auto si = static_cast<std::size_t>(rng_.uniform_int(0, last));
+      auto ti = si;
+      while (ti == si) ti = static_cast<std::size_t>(rng_.uniform_int(0, last));
+      const NodeId src = usable_[si];
+      ++attempted;
+      const RouteResult route = router.route(src, usable_[ti]);
+      if (!route.delivered) {
+        // The source still spends a transmission trying.
+        amounts[static_cast<std::size_t>(src)] += costs_.tx;
+        continue;
+      }
+      ++delivered;
+      for (std::size_t hop = 0; hop < route.path.size(); ++hop) {
+        amounts[static_cast<std::size_t>(route.path[hop])] +=
+            (hop + 1 < route.path.size() ? costs_.tx : 0.0) +
+            (hop > 0 ? costs_.rx : 0.0);
+      }
     }
   }
-  return g;
-}
+
+  std::size_t attempted = 0;
+  std::size_t delivered = 0;
+
+ private:
+  EnergyCosts costs_;
+  int flows_;
+  Xoshiro256 rng_;
+  std::vector<NodeId> usable_;
+};
 
 }  // namespace
 
 TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
-                                   std::uint64_t seed) {
-  if (config.n_hosts < 2) {
-    throw std::invalid_argument("run_traffic_trial: need at least two hosts");
+                                   std::uint64_t seed,
+                                   IntervalObserver* observer,
+                                   const FaultPlan* faults) {
+  if (config.world.n_hosts < 2 || config.flows_per_interval < 0) {
+    throw std::invalid_argument(
+        "run_traffic_trial: need two hosts and a non-negative flow count");
   }
-  if (config.flows_per_interval < 0) {
-    throw std::invalid_argument("run_traffic_trial: negative flow count");
+  FlowCharger flows(config, seed);
+  LifetimeRun run(config.world, seed, observer, faults, &flows);
+  // A plan keeps the world going past deaths (degraded mode); the
+  // workload's lifetime still ends at the first one.
+  while (run.step() && run.result().faults.first_death_interval < 0) {
   }
-  Xoshiro256 rng(seed);
-  const Field field(config.field_width, config.field_height, config.boundary);
-
-  std::vector<Vec2> positions;
-  if (auto placed = random_connected_placement(
-          config.n_hosts, field, config.radius, rng, config.connect_retries)) {
-    positions = std::move(placed->positions);
-  } else {
-    positions = random_placement(config.n_hosts, field, rng);
-  }
-
-  const auto n = static_cast<std::size_t>(config.n_hosts);
-  BatteryBank batteries(n, config.initial_energy);
-  PaperJumpMobility mobility(config.stay_probability, config.jump_min,
-                             config.jump_max);
-  std::vector<char> active(n, 1);
 
   TrafficSimResult result;
-  double gateway_sum = 0.0;
-  std::vector<double> key_scratch;
-  while (result.intervals < config.max_intervals) {
-    // Usable hosts: alive AND switched on.
-    std::vector<char> usable(n, 0);
-    std::vector<NodeId> usable_ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (active[i] && batteries.alive(i)) {
-        usable[i] = 1;
-        usable_ids.push_back(static_cast<NodeId>(i));
-      }
-    }
-    if (usable_ids.size() < 2) break;  // nothing left to route
-
-    const Graph g = build_active_udg(positions, config.radius, usable);
-    const CdsResult cds = compute_cds(
-        g, config.rule_set,
-        quantize_key_levels(batteries.levels(), config.energy_key_quantum,
-                            key_scratch),
-        config.cds_options);
-    gateway_sum += static_cast<double>(cds.gateway_count);
-
-    // Per-interval baseline costs.
-    bool someone_died = false;
-    for (const NodeId host : usable_ids) {
-      const auto hi = static_cast<std::size_t>(host);
-      const double upkeep =
-          config.costs.idle + (cds.gateways.test(hi) ? config.costs.beacon
-                                                     : 0.0);
-      someone_died |= batteries.drain(hi, upkeep);
-    }
-
-    // Route random flows through the backbone and charge per hop.
-    const DominatingSetRouter router(g, cds.gateways);
-    for (int flow = 0; flow < config.flows_per_interval; ++flow) {
-      const auto si = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(usable_ids.size()) - 1));
-      auto ti = si;
-      while (ti == si) {
-        ti = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(usable_ids.size()) - 1));
-      }
-      const NodeId src = usable_ids[si];
-      const NodeId dst = usable_ids[ti];
-      ++result.flows_attempted;
-      const RouteResult route = router.route(src, dst);
-      if (!route.delivered) {
-        // The source still spends a transmission trying.
-        someone_died |= batteries.drain(static_cast<std::size_t>(src),
-                                        config.costs.tx);
-        continue;
-      }
-      ++result.flows_delivered;
-      for (std::size_t hop = 0; hop < route.path.size(); ++hop) {
-        const auto node = static_cast<std::size_t>(route.path[hop]);
-        double cost = 0.0;
-        if (hop + 1 < route.path.size()) cost += config.costs.tx;
-        if (hop > 0) cost += config.costs.rx;
-        someone_died |= batteries.drain(node, cost);
-      }
-    }
-
-    ++result.intervals;
-    if (someone_died) break;
-
-    // Mobility and churn for the next interval.
-    mobility.step(positions, field, rng);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!batteries.alive(i)) continue;
-      if (active[i]) {
-        if (rng.bernoulli(config.churn.off_probability)) active[i] = 0;
-      } else if (rng.bernoulli(config.churn.on_probability)) {
-        active[i] = 1;
-      }
-    }
-  }
-
-  result.hit_cap =
-      !batteries.any_dead() && result.intervals >= config.max_intervals;
-  if (result.intervals > 0) {
-    result.avg_gateways =
-        gateway_sum / static_cast<double>(result.intervals);
-  }
-  if (result.flows_attempted > 0) {
-    result.delivery_ratio = static_cast<double>(result.flows_delivered) /
-                            static_cast<double>(result.flows_attempted);
+  result.trial = run.result();
+  result.trial.hit_cap =
+      result.trial.hit_cap && result.trial.faults.first_death_interval < 0;
+  result.flows_attempted = flows.attempted;
+  result.flows_delivered = flows.delivered;
+  if (flows.attempted > 0) {
+    result.delivery_ratio = static_cast<double>(flows.delivered) /
+                            static_cast<double>(flows.attempted);
   }
   // Energy spread at the end of the run (balance quality).
-  double mean = 0.0;
-  for (const double level : batteries.levels()) mean += level;
-  mean /= static_cast<double>(n);
-  double var = 0.0;
-  for (const double level : batteries.levels()) {
-    var += (level - mean) * (level - mean);
-  }
-  result.energy_stddev_at_death = std::sqrt(var / static_cast<double>(n));
+  const std::vector<double>& levels = run.levels();
+  const auto n = static_cast<double>(levels.size());
+  const double mean = std::accumulate(levels.begin(), levels.end(), 0.0) / n;
+  const double var = std::accumulate(
+      levels.begin(), levels.end(), 0.0,
+      [mean](double sum, double x) { return sum + (x - mean) * (x - mean); });
+  result.energy_stddev_at_death = std::sqrt(var / n);
   return result;
 }
 

@@ -8,14 +8,17 @@
 // rotating gateway duty by energy level should extend the time to first
 // death — now with load that concentrates on the real forwarding paths.
 //
-// Dead and switched-off hosts drop out of the topology; the simulation also
-// reports packet delivery, so the energy/service trade-off is visible.
+// The world is a LifetimeRun over `TrafficSimConfig::world` drained by a
+// flow-routing DrainHook, so every SimConfig scenario axis applies; flow
+// endpoints draw from derive_seed(seed, kTrafficStream). Host on/off churn
+// is the fault plan's `churn` process (off hosts are down: out of the
+// topology, draining nothing). The run ends at the first battery death and
+// also reports packet delivery, so the energy/service trade-off is visible.
 
+#include <cstddef>
 #include <cstdint>
 
-#include "core/cds.hpp"
-#include "net/space.hpp"
-#include "net/topology.hpp"
+#include "sim/lifetime.hpp"
 
 namespace pacds {
 
@@ -27,51 +30,28 @@ struct EnergyCosts {
   double beacon = 0.2;  ///< per-interval extra for gateways (table upkeep)
 };
 
-/// Host on/off churn (the paper's "switching on/off ... a special form of
-/// mobility"). An inactive host vanishes from the topology and drains
-/// nothing.
-struct ChurnModel {
-  double off_probability = 0.0;  ///< P(active host switches off) per interval
-  double on_probability = 0.25;  ///< P(inactive host returns) per interval
-};
-
+/// The world's scenario (its drain model is unused: the flows drain) plus
+/// the workload's own knobs.
 struct TrafficSimConfig {
-  int n_hosts = 50;
-  double field_width = 100.0;
-  double field_height = 100.0;
-  BoundaryPolicy boundary = BoundaryPolicy::kClamp;
-  double radius = kPaperRadius;
-
-  double initial_energy = 200.0;
+  SimConfig world{};
   EnergyCosts costs{};
   int flows_per_interval = 20;  ///< random src->dst packets each interval
-
-  double stay_probability = 0.5;
-  int jump_min = 1;
-  int jump_max = 6;
-  ChurnModel churn{};
-
-  RuleSet rule_set = RuleSet::kEL1;
-  CdsOptions cds_options{};
-  double energy_key_quantum = 1.0;
-
-  int connect_retries = 500;
-  long max_intervals = 100000;
 };
 
 struct TrafficSimResult {
-  long intervals = 0;           ///< completed intervals at first death
-  double avg_gateways = 0.0;    ///< mean |G'| per interval
+  TrialResult trial;  ///< the world run's outcome (intervals, |G'|, cap, ...)
   double delivery_ratio = 1.0;  ///< delivered / attempted flows
   std::size_t flows_attempted = 0;
   std::size_t flows_delivered = 0;
-  double energy_stddev_at_death = 0.0;  ///< battery spread when the run ends
-                                        ///< (lower = better balancing)
-  bool hit_cap = false;
+  double energy_stddev_at_death = 0.0;  ///< end spread (lower = balanced)
 };
 
-/// Runs one traffic-driven trial, fully determined by (config, seed).
-[[nodiscard]] TrafficSimResult run_traffic_trial(const TrafficSimConfig& config,
-                                                 std::uint64_t seed);
+/// Runs one traffic-driven trial, fully determined by (config, seed, plan).
+/// `observer` watches the world run; `faults` (e.g. a churn plan) goes to
+/// its fault argument. Throws std::invalid_argument for fewer than two hosts
+/// or a negative flow count.
+[[nodiscard]] TrafficSimResult run_traffic_trial(
+    const TrafficSimConfig& config, std::uint64_t seed,
+    IntervalObserver* observer = nullptr, const FaultPlan* faults = nullptr);
 
 }  // namespace pacds

@@ -86,6 +86,105 @@ TEST(FaultPlanTest, FullPlanRoundTripsThroughWriter) {
   EXPECT_EQ(back.retry.backoff_cap, 16);
 }
 
+TEST(FaultPlanTest, ChurnRoundTripsAndRejectsBadRates) {
+  const FaultPlan plan = parse_fault_plan(
+      R"({"churn": {"off_probability": 0.125, "on_probability": 0.5}})");
+  EXPECT_DOUBLE_EQ(plan.churn.off_probability, 0.125);
+  EXPECT_DOUBLE_EQ(plan.churn.on_probability, 0.5);
+  EXPECT_TRUE(plan.has_lifetime_events());
+
+  std::ostringstream text;
+  {
+    JsonWriter json(text);
+    write_fault_plan(json, plan);
+  }
+  const FaultPlan back = parse_fault_plan(text.str());
+  EXPECT_EQ(back.churn, plan.churn);
+  std::ostringstream again;
+  {
+    JsonWriter json(again);
+    write_fault_plan(json, back);
+  }
+  EXPECT_EQ(again.str(), text.str());
+
+  // A plan that never switches a host off schedules nothing, and the
+  // default churn is left out of the normalized form.
+  FaultPlan idle;
+  idle.churn.on_probability = 0.9;
+  EXPECT_FALSE(idle.has_lifetime_events());
+  std::ostringstream defaults;
+  {
+    JsonWriter json(defaults);
+    write_fault_plan(json, FaultPlan{});
+  }
+  EXPECT_EQ(defaults.str().find("churn"), std::string::npos);
+
+  const auto rejects = [](const char* doc, const char* field) {
+    try {
+      (void)parse_fault_plan(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(R"({"churn": {"off_probability": 1.0}})", "churn.off_probability");
+  rejects(R"({"churn": {"off_probability": -0.1}})", "churn.off_probability");
+  rejects(R"({"churn": {"on_probability": 2}})", "churn.on_probability");
+  rejects(R"({"churn": {"on_probability": "high"}})", "churn.on_probability");
+  rejects(R"({"churn": {"off": 0.1}})", "churn: unknown key");
+  rejects(R"({"churn": 0.1})", "churn must be an object");
+
+  FaultPlan bad;
+  bad.churn.on_probability = 1.5;
+  EXPECT_THROW(validate_fault_plan(bad, 10), std::invalid_argument);
+}
+
+TEST(FaultInjectorTest, ChurnDrawsFromIntervalTwoAndSparesTheDead) {
+  FaultPlan plan;
+  plan.churn = {0.5, 0.5};
+  FaultInjector injector(plan, 40, 100.0, 25.0, 7);
+  BatteryBank batteries(40, 10.0);
+  const std::vector<Vec2> positions(40, Vec2{1.0, 1.0});
+  std::vector<FaultRecord> events;
+  injector.apply(1, positions, batteries, events);
+  EXPECT_TRUE(events.empty());  // interval 1 runs the placement as drawn
+  EXPECT_EQ(injector.down_count(), 0u);
+
+  injector.record_death(0, 1, events);
+  events.clear();
+  std::size_t offs = 0;
+  std::size_t ons = 0;
+  for (long interval = 2; interval <= 20; ++interval) {
+    injector.apply(interval, positions, batteries, events);
+  }
+  for (const FaultRecord& event : events) {
+    EXPECT_EQ(event.cause, FaultCause::kChurn);
+    EXPECT_NE(event.node, 0);  // the dead never churn back on
+    if (event.kind == FaultKind::kCrash) ++offs;
+    if (event.kind == FaultKind::kRecover) ++ons;
+  }
+  EXPECT_GT(offs, 0u);
+  EXPECT_GT(ons, 0u);
+  EXPECT_TRUE(injector.down().test(0));
+
+  // The draws are a pure function of the churn seed.
+  FaultInjector twin(plan, 40, 100.0, 25.0, 7);
+  BatteryBank twin_batteries(40, 10.0);
+  std::vector<FaultRecord> twin_events;
+  twin.apply(1, positions, twin_batteries, twin_events);
+  twin.record_death(0, 1, twin_events);
+  twin_events.clear();
+  for (long interval = 2; interval <= 20; ++interval) {
+    twin.apply(interval, positions, twin_batteries, twin_events);
+  }
+  ASSERT_EQ(twin_events.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(twin_events[i].node, events[i].node);
+    EXPECT_EQ(twin_events[i].interval, events[i].interval);
+  }
+}
+
 TEST(FaultPlanTest, RejectsMalformedPlans) {
   // Unknown keys fail loudly so typos cannot silently disable faults.
   EXPECT_THROW((void)parse_fault_plan(R"({"crashs": []})"), std::runtime_error);

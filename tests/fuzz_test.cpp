@@ -23,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/lifetime.hpp"
+#include "sim/traffic_sim.hpp"
 
 namespace pacds::fuzz {
 namespace {
@@ -67,6 +68,20 @@ bool des_world_reaches_third_interval(const FuzzScenario& s) {
   const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
   return run_lifetime_trial(s.config, s.trial_seed, nullptr, plan).intervals >=
          3;
+}
+
+/// traffic-world's mutation shows from the second interval on; its domain
+/// is a zero-cost traffic run (which stops at a plan theft's first death)
+/// that is still running then.
+bool traffic_world_reaches_second_interval(const FuzzScenario& s) {
+  if (s.config.n_hosts < 2) return false;
+  TrafficSimConfig traffic;
+  traffic.world = s.config;
+  traffic.world.max_intervals = 25;
+  traffic.costs = EnergyCosts{0.0, 0.0, 0.0, 0.0};
+  const FaultPlan* plan = s.faults.has_lifetime_events() ? &s.faults : nullptr;
+  return run_traffic_trial(traffic, s.trial_seed, nullptr, plan)
+             .trial.intervals >= 2;
 }
 
 // ---- scenario generation and corpus format --------------------------------
@@ -212,6 +227,8 @@ TEST(FuzzOracleTest, EveryMutationIsCaughtByItsOracle) {
       {kMutateManifestReplay, "manifest-replay",
        [](const FuzzScenario&) { return true; }},
       {kMutateDesWorld, "des-world", des_world_reaches_third_interval},
+      {kMutateTrafficWorld, "traffic-world",
+       traffic_world_reaches_second_interval},
       // gap-bound's mutation is caught unconditionally by the bitmask
       // differential, which needs the exhaustive solver's n <= 20 domain
       // and a scenario dense enough that the connected snapshot the oracle
@@ -312,6 +329,28 @@ TEST(FuzzShrinkTest, DesWorldFailureShrinks) {
   EXPECT_GT(shrunk.steps_kept, 0u);
   EXPECT_TRUE(
       fails_oracle(shrunk.scenario, kMutateDesWorld, "des-world"));
+}
+
+TEST(FuzzShrinkTest, TrafficWorldFailureShrinks) {
+  // A traffic workload whose flows advanced the world stream (the mutation
+  // stands in for one drawing endpoints from it) is caught on a larger
+  // churned instance and shrunk to a smaller one failing the same oracle.
+  const std::int64_t index = find_scenario(1, [](const FuzzScenario& s) {
+    return s.config.n_hosts > 8 && s.faults.churn.off_probability > 0.0 &&
+           traffic_world_reaches_second_interval(s);
+  });
+  ASSERT_GE(index, 0);
+  const FuzzScenario original =
+      random_scenario(1, static_cast<std::uint64_t>(index));
+  const ShrinkResult shrunk = shrink_scenario(
+      original, "traffic-world", OracleOptions{kMutateTrafficWorld});
+  EXPECT_EQ(shrunk.oracle, "traffic-world");
+  EXPECT_NE(shrunk.detail.find("world stream diverges"), std::string::npos)
+      << shrunk.detail;
+  EXPECT_LT(shrunk.scenario.config.n_hosts, original.config.n_hosts);
+  EXPECT_GT(shrunk.steps_kept, 0u);
+  EXPECT_TRUE(fails_oracle(shrunk.scenario, kMutateTrafficWorld,
+                           "traffic-world"));
 }
 
 TEST(FuzzShrinkTest, RejectsTransformsThatLoseTheFailure) {

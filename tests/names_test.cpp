@@ -84,6 +84,8 @@ const TableCase kTables[] = {
     {"BackboneMode",
      [] { check_table(kBackboneModeNames, BackboneMode::kCds22); }},
     {"ServeOp", [] { check_table(serve::kOpNames, serve::Op::kShutdown); }},
+    {"FaultKind", [] { check_table(kFaultKindNames, FaultKind::kRepair); }},
+    {"FaultCause", [] { check_table(kFaultCauseNames, FaultCause::kChurn); }},
 };
 
 class WireNameTableTest : public ::testing::TestWithParam<TableCase> {};
